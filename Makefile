@@ -28,11 +28,17 @@ test:
 # clobbers them mid-test.) Each pass runs under a hard timeout: the
 # failure model's core claim is "never hangs", and CI enforces it by
 # turning any wedge into a loud nonzero exit instead of a stuck job.
+#
+# Before the knob passes, the benchmark's smoke run checks all four
+# bench/perf workloads' outputs against their reference computation
+# (the benchmark refuses to run with any GIGASCOPE_* variable set, so
+# it cannot join the passes below).
 CI_TIMEOUT ?= 600
 CHAOS_FAULTS = seed=11,stall=tcpdest0->portcounts:2:2,delay=5:2
 ci:
 	dune build @all
 	timeout $(CI_TIMEOUT) dune runtest
+	timeout $(CI_TIMEOUT) dune build @bench/perf/smoke --force
 	GIGASCOPE_PARALLEL=2 timeout $(CI_TIMEOUT) dune runtest --force
 	GIGASCOPE_BATCH=64 timeout $(CI_TIMEOUT) dune runtest --force
 	GIGASCOPE_PARALLEL=2 GIGASCOPE_BATCH=64 timeout $(CI_TIMEOUT) dune runtest --force

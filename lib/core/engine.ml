@@ -244,29 +244,30 @@ let bind_source t ~interface ~protocol ~nic =
           configure_nic iface nic;
           let feed = iface.feed_factory () in
           let last_ts = ref nan in
-          let needs_nic_path () = Nic.mode iface.nic <> Nic.Dumb in
           let rec pull () =
             match feed () with
             | None -> None
             | Some pkt -> (
                 last_ts := pkt.Packet.ts;
                 let delivered =
-                  if needs_nic_path () then begin
-                    let wire = Packet.encode pkt in
-                    match Nic.deliver iface.nic wire with
-                    | None -> None
-                    | Some snapped -> (
-                        match
-                          Packet.decode ~ts:pkt.Packet.ts ~wire_len:(Bytes.length wire) snapped
-                        with
-                        | Ok p -> Some p
-                        | Error _ -> None)
-                  end
-                  else begin
-                    (* account the dumb card's view too *)
-                    ignore (Nic.deliver iface.nic (Packet.encode pkt));
-                    Some pkt
-                  end
+                  match Nic.mode iface.nic with
+                  | Nic.Dumb ->
+                      (* A dumb card passes the packet whole: only its
+                         length reaches the counters, so no wire bytes. *)
+                      Nic.deliver_whole iface.nic (Packet.encoded_len pkt);
+                      Some pkt
+                  | Nic.Filtering _ | Nic.Programmable _ -> (
+                      (* the card's BPF program and snap length work on
+                         wire bytes *)
+                      let wire = Packet.encode pkt in
+                      match Nic.deliver iface.nic wire with
+                      | None -> None
+                      | Some snapped -> (
+                          match
+                            Packet.decode ~ts:pkt.Packet.ts ~wire_len:(Bytes.length wire) snapped
+                          with
+                          | Ok p -> Some p
+                          | Error _ -> None))
                 in
                 match delivered with
                 | None -> pull ()

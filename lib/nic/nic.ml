@@ -48,28 +48,34 @@ let widen t m =
         if k1 = `P && k2 = `P then Programmable { prog; snap_len }
         else Filtering { prog; snap_len })
 
-let deliver t wire =
+let deliver_whole t len =
   t.packets_seen <- t.packets_seen + 1;
-  t.bytes_seen <- t.bytes_seen + Bytes.length wire;
-  let pass snap prog =
-    match prog with
-    | None -> Some snap
-    | Some p ->
-        let r = Bpf.Vm.run p wire in
-        if r = 0 then None else Some (min snap r)
-  in
-  let decision =
-    match t.nic_mode with
-    | Dumb -> Some (Bytes.length wire)
-    | Filtering { prog; snap_len } | Programmable { prog; snap_len } -> pass snap_len prog
-  in
-  match decision with
-  | None -> None
-  | Some keep ->
-      let out = Gigascope_packet.Packet.truncate ~snap_len:keep wire in
-      t.packets_delivered <- t.packets_delivered + 1;
-      t.bytes_delivered <- t.bytes_delivered + Bytes.length out;
-      Some out
+  t.bytes_seen <- t.bytes_seen + len;
+  t.packets_delivered <- t.packets_delivered + 1;
+  t.bytes_delivered <- t.bytes_delivered + len
+
+let deliver t wire =
+  match t.nic_mode with
+  | Dumb ->
+      deliver_whole t (Bytes.length wire);
+      Some wire
+  | Filtering { prog; snap_len } | Programmable { prog; snap_len } -> (
+      t.packets_seen <- t.packets_seen + 1;
+      t.bytes_seen <- t.bytes_seen + Bytes.length wire;
+      let keep =
+        match prog with
+        | None -> Some snap_len
+        | Some p ->
+            let r = Bpf.Vm.run p wire in
+            if r = 0 then None else Some (min snap_len r)
+      in
+      match keep with
+      | None -> None
+      | Some keep ->
+          let out = Gigascope_packet.Packet.truncate ~snap_len:keep wire in
+          t.packets_delivered <- t.packets_delivered + 1;
+          t.bytes_delivered <- t.bytes_delivered + Bytes.length out;
+          Some out)
 
 let offloads_lfta t = match t.nic_mode with Programmable _ -> true | Dumb | Filtering _ -> false
 

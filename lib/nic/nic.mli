@@ -45,6 +45,10 @@ val deliver : t -> bytes -> bytes option
     [None] if the filter rejects it, otherwise the (possibly snapped)
     bytes the host receives. *)
 
+val deliver_whole : t -> int -> unit
+(** [deliver_whole t len] records a [len]-byte packet passed whole, as
+    {!deliver} does on a [Dumb] card, without needing its bytes. *)
+
 val offloads_lfta : t -> bool
 (** True for [Programmable]: the host does not run LFTA code. *)
 

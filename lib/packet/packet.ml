@@ -37,15 +37,19 @@ let icmp ?(ts = 0.0) ?ttl ?(code = 0) ~src ~dst ~icmp_type ~payload () =
   let ip = Ipv4.make ?ttl ~protocol:Ipv4.proto_icmp ~src ~dst ~payload_len:len () in
   { ts; wire_len = wire_len_of ~ip; eth = default_eth; net = Ipv4 (ip, Icmp (icmp_h, payload)) }
 
+let encoded_len t =
+  match t.net with
+  | Non_ip raw -> Ethernet.header_len + Bytes.length raw
+  | Ipv4 (ip, _) -> wire_len_of ~ip
+
 let encode t =
+  let buf = Bytes.create (encoded_len t) in
   match t.net with
   | Non_ip raw ->
-      let buf = Bytes.create (Ethernet.header_len + Bytes.length raw) in
       Ethernet.encode t.eth buf 0;
       Bytes.blit raw 0 buf Ethernet.header_len (Bytes.length raw);
       buf
   | Ipv4 (ip, transport) ->
-      let buf = Bytes.create (Ethernet.header_len + ip.Ipv4.total_len) in
       Ethernet.encode t.eth buf 0;
       Ipv4.encode ip buf Ethernet.header_len;
       let l4_off = Ethernet.header_len + Ipv4.header_len ip in

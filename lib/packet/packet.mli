@@ -72,6 +72,10 @@ val icmp :
 val encode : t -> bytes
 (** Full wire bytes of the packet (Ethernet frame). *)
 
+val encoded_len : t -> int
+(** [Bytes.length (encode t)], computed from the headers without building
+    the frame. *)
+
 val decode : ?ts:float -> ?wire_len:int -> bytes -> (t, string) result
 (** Interpret captured bytes. [wire_len] defaults to the buffer length; when
     the capture was truncated by a snap length, pass the original length.

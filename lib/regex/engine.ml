@@ -7,7 +7,9 @@
      current offset (the epsilon closure of pending plus a fresh start
      thread, giving unanchored "match anywhere" semantics).
    A generation-stamped membership array makes each pc join the closure at
-   most once per offset, so the whole run is O(|input| * |program|). *)
+   most once per offset, so the whole run is O(|input| * |program|). When
+   an offset leaves no thread alive, the run skips straight to the end of
+   the input, where [$] can still hold. *)
 
 type vm = {
   prog : Nfa.program;
@@ -67,6 +69,15 @@ let run get_char prog ~pos ~len =
     (* Seed a fresh start thread at every offset: unanchored search. *)
     if add_thread vm ~start:pos ~stop ~off:!off 0 then matched := true;
     if !matched || !off >= stop then continue := false
+    else if vm.classes_len = 0 then begin
+      (* No thread is alive, and the start thread's closure at any later
+         offset before [stop] is no larger than here ([Assert_bol] holds
+         only at [pos], [Assert_eol] only at [stop]): nothing can happen
+         until [stop]. A [^]-anchored pattern ends its scan here, at the
+         first byte it rejects. *)
+      vm.pending_len <- 0;
+      off := stop
+    end
     else begin
       let c = get_char !off in
       vm.pending_len <- 0;

@@ -31,19 +31,19 @@ let ahead cfg a b =
 
 (* The closing threshold implied by a frontier value: groups strictly
    behind [frontier - band] can never receive another tuple. *)
-let behind_threshold cfg frontier =
-  if cfg.band = 0.0 then frontier
+let behind_threshold ~direction ~band frontier =
+  if band = 0.0 then frontier
   else
     match Value.to_float frontier with
     | None -> frontier
     | Some f ->
         let shifted =
-          match cfg.direction with Order_prop.Asc -> f -. cfg.band | Desc -> f +. cfg.band
+          match direction with Order_prop.Asc -> f -. band | Desc -> f +. band
         in
         (match frontier with
         | Value.Int _ ->
             Value.Int
-              (match cfg.direction with
+              (match direction with
               | Order_prop.Asc -> int_of_float (Float.floor shifted)
               | Desc -> int_of_float (Float.ceil shifted))
         | _ -> Value.Float shifted)
@@ -133,7 +133,9 @@ let on_tuple t values ~emit =
         let advanced = t.high_water = Value.Null || ahead cfg v t.high_water in
         if advanced then begin
           t.high_water <- v;
-          flush_behind t ~threshold:(behind_threshold cfg v) ~emit ()
+          flush_behind t
+            ~threshold:(behind_threshold ~direction:cfg.direction ~band:cfg.band v)
+            ~emit ()
         end
     | None -> ());
     let group =

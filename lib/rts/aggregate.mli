@@ -32,6 +32,12 @@ type config = {
           it is monotone in that field) *)
 }
 
+val behind_threshold : direction:Order_prop.direction -> band:float -> Value.t -> Value.t
+(** [behind_threshold ~direction ~band v]: once the epoch key has
+    reached [v], no later tuple of a banded input lies strictly behind
+    the result ([v - band], floored for integers, ascending; mirrored
+    descending). *)
+
 type t
 
 val make : config -> t

@@ -11,10 +11,10 @@ type config = {
      maps an input-field bound onto the epoch-key domain, [epoch_out] is
      the output position the epoch key lands in. With both set, an input
      punctuation flushes the table (as always) and then emits a
-     translated bound on the output — which the sharded reunification
-     merge needs to advance without waiting for the next tuple. With
-     either [None] (the pre-sharding default) punctuation stays
-     swallowed after the flush. *)
+     translated bound on the output, so the consumer (an HFTA, or a
+     sharded reunification merge) can advance without waiting for the
+     next tuple. With [epoch_out] set, an epoch advance also emits its
+     bound after the flush. *)
   punct_in : (int * (Value.t -> Value.t option)) option;
   epoch_out : int option;
 }
@@ -88,8 +88,19 @@ let on_tuple t values ~emit =
         let v = key.(ek) in
         if t.high_water = Value.Null || ahead cfg v t.high_water then begin
           (* A fresh epoch: everything in the table belongs to closed
-             epochs (module the band, which the HFTA absorbs). *)
-          if t.high_water <> Value.Null then flush_all t ~emit;
+             epochs (modulo the band, which the HFTA absorbs). Announce
+             the advance, so the HFTA can close those epochs now rather
+             than when the next epoch's first partial reaches it. *)
+          if t.high_water <> Value.Null then begin
+            flush_all t ~emit;
+            match cfg.epoch_out with
+            | Some out_field ->
+                let bound =
+                  Aggregate.behind_threshold ~direction:cfg.direction ~band:cfg.band v
+                in
+                emit (Item.Punct [ (out_field, bound) ])
+            | None -> ()
+          end;
           t.high_water <- v
         end
     | None -> ());
@@ -122,11 +133,9 @@ let op t =
     match item with
     | Item.Tuple values -> on_tuple t values ~emit
     | Item.Punct bounds -> (
-        (* Partial groups give no per-field guarantee downstream except via
-           the HFTA; flush so the bound is honoured, then stay silent (the
-           HFTA regenerates bounds from its own epochs) — unless the
-           config carries a punctuation translator, in which case the
-           source's firm bound maps to an epoch bound on the output. *)
+        (* Flush so the bound is honoured; with a punctuation
+           translator, the source's firm bound then maps to an epoch
+           bound on the output. Without one it stays swallowed. *)
         flush_all t ~emit;
         match (t.cfg.punct_in, t.cfg.epoch_out) with
         | Some (in_field, translate), Some out_field -> (

@@ -8,7 +8,8 @@
 
     The operator therefore emits {e partial} aggregates — possibly several
     per logical group — and relies on a downstream HFTA super-aggregate to
-    complete the computation. Epoch advancement flushes the whole table.
+    complete the computation. Epoch advancement flushes the whole table
+    and announces the new epoch's bound.
     Emitted partials carry no ordering promise except bandedness on the
     epoch key, which {!Order_infer} imputes. *)
 
@@ -25,11 +26,14 @@ type config = {
       (** input punctuation field and its translation onto the epoch-key
           domain (as in {!Aggregate}); with [epoch_out] also set, a
           source punctuation flushes the table and re-emits the
-          translated bound — the liveness signal the sharded
-          reunification merge runs on. [None]: punctuation still
-          flushes, but is swallowed (the pre-sharding behavior). *)
+          translated bound. [None]: punctuation still flushes, but is
+          swallowed. *)
   epoch_out : int option;
-      (** output position of the epoch key for the translated bound *)
+      (** output position of the epoch key. When set, the table flush at
+          an epoch advance to [v] is followed by the bound
+          [Punct [(epoch_out, Aggregate.behind_threshold v)]]: no later
+          partial lies behind it, so the HFTA (or a sharded
+          reunification merge) closes the finished epochs at once. *)
 }
 
 type t

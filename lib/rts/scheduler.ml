@@ -61,6 +61,7 @@ let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?heartbeat_peri
   let finished () =
     List.for_all (fun n -> Node.exhausted n && channels_empty n) nodes
   in
+  let downstream = List.filter (fun n -> Node.kind n <> Node.Source) nodes in
   let result = ref None in
   (try
   while !result = None do
@@ -70,25 +71,29 @@ let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?heartbeat_peri
     else begin
       incr iter;
       let timed = (!iter - 1) mod sample = 0 in
-      let progress = ref false in
-      List.iter
-        (fun node ->
-          let step () =
-            if Node.kind node = Node.Source then Node.step_source node ~quantum
-            else Node.step_inputs node ~quantum
-          in
-          let made =
-            if timed then begin
-              let t0 = Clock.now_ns () in
-              let r = step () in
-              Node.record_service node (Clock.now_ns () -. t0);
-              r
-            end
-            else step ()
-          in
-          if made then progress := true)
-        nodes;
-      if !progress then begin
+      let step node =
+        let step () =
+          if Node.kind node = Node.Source then Node.step_source node ~quantum
+          else Node.step_inputs node ~quantum
+        in
+        if timed then begin
+          let t0 = Clock.now_ns () in
+          let r = step () in
+          Node.record_service node (Clock.now_ns () -. t0);
+          r
+        end
+        else step ()
+      in
+      let pass nodes = List.fold_left (fun made node -> step node || made) false nodes in
+      let progress = pass nodes in
+      (* Drain before the next source pull: an epoch-boundary table flush
+         can far exceed one quantum, and pulling more packets before it
+         reaches the subscribers only delays its results. Each pass keeps
+         the per-step quantum; the passes stop when no node moves. *)
+      while progress && pass downstream do
+        ()
+      done;
+      if progress then begin
         incr rounds;
         Metrics.Counter.incr rounds_c
       end;
@@ -120,7 +125,7 @@ let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?heartbeat_peri
          progress for the next round. No item moved and nothing fired
          means either completion (checked next iteration) or a wedged
          network, which we surface rather than spin on. *)
-      if (not !progress) && (not !hb_fired) && not (finished ()) then
+      if (not progress) && (not !hb_fired) && not (finished ()) then
         result := Some (Error "scheduler: wedged (no progress, not finished)")
     end
   done

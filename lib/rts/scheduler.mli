@@ -1,8 +1,13 @@
 (** Cooperative execution of the query network.
 
-    Round-robin over registered nodes in topological order: sources
-    produce a quantum of items, query nodes drain a quantum from each
-    input. After each round, operators that report a blocked input get
+    Round-robin over registered nodes in topological order. A round is
+    one pass over every node — sources produce a quantum of items, query
+    nodes consume up to a quantum from each input — followed by further
+    passes over the query nodes alone, each with the same per-step
+    quantum, until none of them moves an item: a round ends with
+    everything its packets produced drained as far downstream as it can
+    go, however large an epoch flush was. After each round, operators
+    that report a blocked input get
     heartbeats requested on their behalf (the "on-demand" ordering-update
     tokens of Section 3), propagated upstream to the sources, whose clocks
     answer with punctuations.
@@ -58,7 +63,8 @@ val run :
     not flushed early; an explicit [quantum] wins (round-indexed hooks
     keep their round structure) at the price of partial batches.
 
-    [quantum] (default [max 64 batch]) items per node per round; [max_rounds] (default
+    [quantum] (default [max 64 batch]) items per node step (per source
+    per round); [max_rounds] (default
     10_000_000) bounds scheduling iterations as a wedge guard;
     [heartbeats] (default true) enables on-demand punctuation (requested
     by blocked operators); [heartbeat_period] additionally fires every

@@ -90,7 +90,7 @@ let test_aggregation_exact () =
 let test_avg_split_exact () =
   (* avg is the aggregate that truly tests sub/super splitting: the LFTA
      emits (sum, count) partials; the HFTA recombines with fdiv *)
-  let engine = E.create () in
+  let engine = E.create ~shards:1 () in
   E.add_packet_list_interface engine ~name:"eth0"
     [
       tcp_pkt 0.1 "10.0.0.1" "10.0.0.2" 1 80 "aa";      (* len 2 *)
@@ -373,6 +373,43 @@ let test_nic_filter_reduces_delivery () =
   check Alcotest.int "dumb card delivers everything" 100 (stats_of eng_dumb);
   check Alcotest.int "filtering card delivers only matches" 10 (stats_of eng_bpf)
 
+(* A dumb card is charged from each packet's encoded length, never its
+   wire bytes: its counters must read exactly what delivering the encoded
+   frames to a fresh card reads. *)
+let test_dumb_card_counters () =
+  let module Nic = Gigascope_nic.Nic in
+  let gen =
+    Gigascope_traffic.Gen.create
+      { Gigascope_traffic.Gen.default with seed = 7; duration = 0.05; mean_payload = 600 }
+  in
+  let rec take acc = match Gigascope_traffic.Gen.next gen with Some p -> take (p :: acc) | None -> acc in
+  let big = udp_pkt 0.0 "10.0.0.1" "10.0.0.2" 5 6 (String.make 3000 'f') in
+  let arp =
+    let b = Bytes.make 42 '\001' in
+    Gigascope_packet.Bytes_util.set_u16 b 12 0x0806;
+    Result.get_ok (Packet.decode b)
+  in
+  let ping =
+    Packet.icmp ~src:(ip "10.0.0.3") ~dst:(ip "10.0.0.4")
+      ~icmp_type:Gigascope_packet.Icmp.type_echo_request ~payload:(Bytes.of_string "ping") ()
+  in
+  let packets = (arp :: ping :: Gigascope_packet.Frag.fragment ~mtu:576 big) @ List.rev (take []) in
+  let engine = E.create () in
+  E.add_packet_list_interface engine ~name:"eth0" ~capability:E.Cap_none packets;
+  ignore (install engine {| DEFINE { query_name seen; } SELECT time FROM eth0.tcp |});
+  ignore (run engine);
+  let reference = Nic.create () in
+  List.iter (fun p -> ignore (Nic.deliver reference (Packet.encode p))) packets;
+  let got =
+    match E.nic_of engine "eth0" with Some nic -> Nic.stats nic | None -> Alcotest.fail "nic missing"
+  in
+  let want = Nic.stats reference in
+  check Alcotest.bool "packets enough to matter" true (List.length packets > 100);
+  check Alcotest.int "packets seen" want.Nic.packets_seen got.Nic.packets_seen;
+  check Alcotest.int "packets delivered" want.Nic.packets_delivered got.Nic.packets_delivered;
+  check Alcotest.int "bytes seen" want.Nic.bytes_seen got.Nic.bytes_seen;
+  check Alcotest.int "bytes delivered" want.Nic.bytes_delivered got.Nic.bytes_delivered
+
 (* ------------------------ LFTA batch via engine ------------------------- *)
 
 let test_lfta_after_start_rejected () =
@@ -596,6 +633,83 @@ let test_flush_mid_stream () =
       check Alcotest.int "everything accounted for" 100 (partial + rest)
   | other -> Alcotest.failf "expected two emissions, got %d" (List.length other)
 
+(* A round drains everything its packets produced: with a quantum far
+   below an epoch flush (200 partials per epoch boundary here), no node's
+   input channel still holds items when the round ends. *)
+let test_round_drains_downstream () =
+  let engine = E.create ~shards:1 () in
+  let packets =
+    List.init 900 (fun i ->
+        tcp_pkt
+          (float_of_int (i / 300) +. (float_of_int (i mod 300) /. 1000.0))
+          (Printf.sprintf "10.0.%d.%d" (i mod 200 / 100) (i mod 100))
+          "10.1.0.1" 1 80 "x")
+  in
+  E.add_packet_list_interface engine ~name:"eth0" packets;
+  ignore
+    (install engine
+       {| DEFINE { query_name per_src; }
+          SELECT tb, srcip, count(*) as cnt FROM eth0.tcp GROUP BY time/1 as tb, srcip |});
+  let got = collect engine "per_src" in
+  let nodes = Rts.Manager.nodes (E.manager engine) in
+  let late = ref [] in
+  (match
+     E.run engine ~quantum:16
+       ~on_round:(fun round ->
+         List.iter
+           (fun node ->
+             Array.iter
+               (fun (_, chan) ->
+                 if not (Rts.Channel.is_empty chan) then
+                   late := Printf.sprintf "round %d: %s" round (Rts.Node.name node) :: !late)
+               (Rts.Node.inputs node))
+           nodes)
+       ()
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  check Alcotest.int "every group reported" 600 (List.length (got ()));
+  check Alcotest.(list string) "no input left waiting at a round's end" [] (List.rev !late)
+
+(* With quantum 1 the source hands out one packet per round. Epoch 0's
+   row must reach the subscriber in the round that hands out epoch 1's
+   first packet: the LFTA flushes its table and announces epoch 1, and
+   the HFTA closes epoch 0 on that bound instead of waiting for an epoch-1
+   partial, which the LFTA only emits once epoch 2 begins. *)
+let test_epoch_closes_on_lfta_bound () =
+  let engine = E.create ~shards:1 () in
+  let stamps = [ 0.1; 0.4; 0.7; 1.2; 1.5; 1.8; 2.3; 2.6 ] in
+  let round = ref 1 in
+  let handed_out = ref [] in
+  E.add_interface engine ~name:"eth0"
+    ~feed:(fun () ->
+      let remaining = ref stamps in
+      fun () ->
+        match !remaining with
+        | [] -> None
+        | ts :: rest ->
+            remaining := rest;
+            handed_out := (ts, !round) :: !handed_out;
+            Some (tcp_pkt ts "10.0.0.1" "10.0.0.2" 1 80 "x"))
+    ();
+  ignore
+    (install engine
+       {| DEFINE { query_name per_sec; }
+          SELECT tb, count(*) as cnt FROM eth0.tcp GROUP BY time/1 as tb |});
+  let arrived = ref [] in
+  Result.get_ok
+    (E.on_tuple engine "per_sec" (fun row -> arrived := (row_to_string row, !round) :: !arrived));
+  (match E.run engine ~quantum:1 ~on_round:(fun r -> round := r + 1) () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let round_of_packet ts = List.assoc ts !handed_out in
+  let rows = List.rev !arrived in
+  check Alcotest.(list string) "rows" [ "0,3"; "1,3"; "2,2" ] (List.map fst rows);
+  check Alcotest.int "epoch 0 closes with epoch 1's first packet" (round_of_packet 1.2)
+    (List.assoc "0,3" rows);
+  check Alcotest.int "epoch 1 closes with epoch 2's first packet" (round_of_packet 2.3)
+    (List.assoc "1,3" rows)
+
 let test_stats_report () =
   let engine = E.create () in
   E.add_packet_list_interface engine ~name:"eth0"
@@ -654,10 +768,13 @@ let () =
           Alcotest.test_case "sampling" `Quick test_sampling;
           Alcotest.test_case "pcap replay" `Quick test_pcap_interface_end_to_end;
           Alcotest.test_case "NIC data reduction" `Quick test_nic_filter_reduces_delivery;
+          Alcotest.test_case "dumb card counters" `Quick test_dumb_card_counters;
           Alcotest.test_case "LFTA batch restriction" `Quick test_lfta_after_start_rejected;
           Alcotest.test_case "heartbeats bound merge" `Quick test_heartbeats_bound_merge_buffer;
           Alcotest.test_case "live parameter change" `Quick test_live_parameter_change;
           Alcotest.test_case "flush mid-stream" `Quick test_flush_mid_stream;
+          Alcotest.test_case "round drains downstream" `Quick test_round_drains_downstream;
+          Alcotest.test_case "epoch closes on LFTA bound" `Quick test_epoch_closes_on_lfta_bound;
           Alcotest.test_case "stats report" `Quick test_stats_report;
           Alcotest.test_case "three-way merge" `Quick test_three_way_merge;
           Alcotest.test_case "merge over protocols" `Quick test_merge_directly_over_protocols;

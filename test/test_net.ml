@@ -432,7 +432,7 @@ let test_loopback_drop_newest () =
   let expected = List.assoc "pay" baseline in
   let total = List.length expected in
   Alcotest.(check bool) "workload produces enough traffic" true (total > 500);
-  let engine = E.create () in
+  let engine = E.create ~shards:1 () in
   payload_workload.Workloads.setup ~seed engine;
   (match E.install_program engine payload_program with
   | Ok _ -> ()
@@ -516,7 +516,7 @@ let test_loopback_drop_newest () =
 
 let test_disconnect_policy () =
   let seed = 12 in
-  let engine = E.create () in
+  let engine = E.create ~shards:1 () in
   payload_workload.Workloads.setup ~seed engine;
   (match E.install_program engine payload_program with
   | Ok _ -> ()

@@ -358,7 +358,7 @@ let test_engine_metrics_ground_truth () =
     Packet.tcp ~ts ~src:(ip "10.0.0.1") ~dst:(ip "10.0.0.2") ~src_port:1234 ~dst_port:dport
       ~payload:(Bytes.of_string "x") ()
   in
-  let engine = E.create () in
+  let engine = E.create ~shards:1 () in
   E.add_packet_list_interface engine ~name:"eth0"
     [pkt 1.0 80; pkt 1.1 443; pkt 1.2 80; pkt 1.3 80];
   (match
@@ -393,7 +393,7 @@ let test_engine_lfta_metrics () =
       ~payload:(Bytes.of_string "x") ()
   in
   (* tiny LFTA table (4 slots) + 64 distinct ports: collisions guaranteed *)
-  let engine = E.create () in
+  let engine = E.create ~shards:1 () in
   E.add_packet_list_interface engine ~name:"eth0"
     (List.init 64 (fun i -> pkt (1.0 +. (0.001 *. float_of_int i)) (1000 + i)));
   (match
@@ -503,7 +503,7 @@ let test_latency_pipeline () =
   in
   let n_pkts = 600 and interval = 10 in
   let run_once ~latency_sample =
-    let engine = E.create () in
+    let engine = E.create ~shards:1 () in
     E.add_packet_list_interface engine ~name:"eth0"
       (List.init n_pkts (fun i -> pkt (1.0 +. (0.001 *. float_of_int i))));
     (match

@@ -549,6 +549,80 @@ let test_netflow_truncated () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated datagram accepted"
 
+(* ---------------------------- encoded_len ------------------------------ *)
+
+(* [encoded_len] must equal the length of the frame [encode] builds for
+   every packet shape the engine meets: the constructors, fragments,
+   non-IP frames, the traffic generator's packets (both modes), and
+   packets decoded from a pcap capture, snapped ones included. *)
+let packet_of_seed seed =
+  let rng = Prng.create seed in
+  let bytes n = Bytes.init n (fun _ -> Char.chr (Prng.int rng 256)) in
+  let src = Prng.int rng 0x7fffffff and dst = Prng.int rng 0x7fffffff in
+  let sp = Prng.int rng 65536 and dp = Prng.int rng 65536 in
+  let built () =
+    match Prng.int rng 5 with
+    | 0 ->
+        ("tcp", Packet.tcp ~src ~dst ~src_port:sp ~dst_port:dp ~payload:(bytes (Prng.int rng 1400)) ())
+    | 1 ->
+        ("udp", Packet.udp ~src ~dst ~src_port:sp ~dst_port:dp ~payload:(bytes (Prng.int rng 1400)) ())
+    | 2 ->
+        ( "icmp",
+          Packet.icmp ~src ~dst ~icmp_type:Icmp.type_echo_request ~payload:(bytes (Prng.int rng 200)) () )
+    | 3 ->
+        let big =
+          Packet.udp ~src ~dst ~src_port:sp ~dst_port:dp ~payload:(bytes (1500 + Prng.int rng 2500)) ()
+        in
+        let frags = Frag.fragment ~mtu:(576 + Prng.int rng 900) big in
+        ("fragment", List.nth frags (Prng.int rng (List.length frags)))
+    | _ -> (
+        let b = bytes (Ethernet.header_len + Prng.int rng 100) in
+        Bytes_util.set_u16 b 12 0x0806;
+        match Packet.decode b with
+        | Ok p -> ("non-ip", p)
+        | Error e -> failwith e)
+  in
+  let generated () =
+    let cfg =
+      {
+        Gigascope_traffic.Gen.default with
+        seed;
+        duration = 0.01;
+        uniform_random = Prng.bool rng;
+      }
+    in
+    let g = Gigascope_traffic.Gen.create cfg in
+    let rec nth k last =
+      match Gigascope_traffic.Gen.next g with
+      | Some p when k > 0 -> nth (k - 1) (Some p)
+      | Some p -> Some p
+      | None -> last
+    in
+    match nth (Prng.int rng 50) None with
+    | Some p -> ("gen", p)
+    | None -> built ()
+  in
+  let label, p = if Prng.bool rng then generated () else built () in
+  if Prng.int rng 3 > 0 then (label, p)
+  else
+    (* through a capture file, snapped at a random length *)
+    let wire = Packet.encode p in
+    let snaplen = Ethernet.header_len + Prng.int rng (Bytes.length wire) in
+    let record = { Pcap.ts = 1.0; orig_len = Bytes.length wire; data = Packet.truncate ~snap_len:snaplen wire } in
+    match Pcap.decode_file (Pcap.encode_file ~snaplen [ record ]) with
+    | Ok (_, [ r ]) -> (
+        match Packet.decode ~ts:r.Pcap.ts ~wire_len:r.Pcap.orig_len r.Pcap.data with
+        | Ok p' -> (Printf.sprintf "%s via pcap, snap %d" label snaplen, p')
+        | Error _ -> (label, p))
+    | _ -> failwith "pcap roundtrip"
+
+let encoded_len_law =
+  qtest ~count:500 "encoded_len = length of encode"
+    (QCheck.make ~print:(fun seed -> fst (packet_of_seed seed)) QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let _, p = packet_of_seed seed in
+      Packet.encoded_len p = Bytes.length (Packet.encode p))
+
 let () =
   Alcotest.run "packet"
     [
@@ -600,6 +674,7 @@ let () =
           Alcotest.test_case "snap truncation" `Quick test_packet_snap_truncation;
           Alcotest.test_case "non-ip" `Quick test_packet_non_ip;
           Alcotest.test_case "accessors" `Quick test_packet_accessors;
+          encoded_len_law;
         ] );
       ( "frag",
         [

@@ -83,13 +83,13 @@ let test_repeated_stress w () =
 let test_placement_pinned () =
   let w = List.find (fun w -> w.wname = "tcpdest") workloads in
   let seed = 42 in
-  let baseline, _ = exec w ~seed ~parallel:1 () in
+  let baseline, _ = exec w ~seed ~parallel:1 ~shards:1 () in
   let pinned, _ =
-    exec w ~seed ~parallel:3 ~placement:[("portcounts", 2); ("tcpdest0", 1)] ()
+    exec w ~seed ~parallel:3 ~shards:1 ~placement:[("portcounts", 2); ("tcpdest0", 1)] ()
   in
   assert_same ~label:"tcpdest pinned placement" baseline pinned;
   (* unknown node names must be rejected, not ignored *)
-  let engine = E.create () in
+  let engine = E.create ~shards:1 () in
   w.setup ~seed engine;
   ignore (Result.get_ok (E.install_program engine (w.program ())));
   match E.run engine ~parallel:2 ~placement:[("no_such_node", 1)] () with
@@ -146,7 +146,7 @@ let chain_workload =
 (* the default partition is a pipeline: every cross-domain edge ascends,
    so the domain graph cannot contain the blocking cycle above *)
 let test_partition_pipeline () =
-  let engine = E.create () in
+  let engine = E.create ~shards:1 () in
   chain_workload.setup ~seed:42 engine;
   ignore (Result.get_ok (E.install_program engine chain_program));
   let nodes = Rts.Manager.nodes (E.manager engine) in

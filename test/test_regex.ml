@@ -137,37 +137,34 @@ let test_pathological_linear () =
 (* ----------------- property: engine vs naive reference ----------------- *)
 
 (* A tiny reference matcher that directly interprets the AST, returning the
-   set of end positions reachable from position [i]. Exponential in the
+   set of end positions reachable from position [i] within [s.[start ..
+   stop-1]] ([^] holds at [start], [$] at [stop]). Exponential in the
    worst case, fine for the tiny patterns/inputs generated below. *)
-let rec ref_ends ast s i ~start : int list =
-  let n = String.length s in
+let rec ref_ends ast s i ~start ~stop : int list =
+  let ends a i = ref_ends a s i ~start ~stop in
   match ast with
   | Ast.Empty -> [i]
-  | Ast.Class cs -> if i < n && Ast.charset_mem cs s.[i] then [i + 1] else []
+  | Ast.Class cs -> if i < stop && Ast.charset_mem cs s.[i] then [i + 1] else []
   | Ast.Bol -> if i = start then [i] else []
-  | Ast.Eol -> if i = n then [i] else []
-  | Ast.Seq (a, b) ->
-      List.concat_map (fun j -> ref_ends b s j ~start) (ref_ends a s i ~start)
-      |> List.sort_uniq compare
-  | Ast.Alt (a, b) -> List.sort_uniq compare (ref_ends a s i ~start @ ref_ends b s i ~start)
-  | Ast.Opt a -> List.sort_uniq compare (i :: ref_ends a s i ~start)
-  | Ast.Plus a -> ref_ends (Ast.Seq (a, Ast.Star a)) s i ~start
+  | Ast.Eol -> if i = stop then [i] else []
+  | Ast.Seq (a, b) -> List.concat_map (ends b) (ends a i) |> List.sort_uniq compare
+  | Ast.Alt (a, b) -> List.sort_uniq compare (ends a i @ ends b i)
+  | Ast.Opt a -> List.sort_uniq compare (i :: ends a i)
+  | Ast.Plus a -> ends (Ast.Seq (a, Ast.Star a)) i
   | Ast.Repeat (a, min_n, max_n) ->
       let rec expand k positions acc =
         let acc = if k >= min_n then List.sort_uniq compare (acc @ positions) else acc in
-        let stop = (match max_n with Some mx -> k >= mx | None -> k >= 10) || positions = [] in
-        if stop then acc
+        let last = (match max_n with Some mx -> k >= mx | None -> k >= 10) || positions = [] in
+        if last then acc
         else
-          let next =
-            List.concat_map (fun j -> ref_ends a s j ~start) positions |> List.sort_uniq compare
-          in
+          let next = List.concat_map (ends a) positions |> List.sort_uniq compare in
           expand (k + 1) next acc
       in
       expand 0 [i] []
   | Ast.Star a ->
       let rec go seen frontier =
         let frontier' =
-          List.concat_map (fun j -> ref_ends a s j ~start) frontier
+          List.concat_map (ends a) frontier
           |> List.filter (fun j -> not (List.mem j seen))
           |> List.sort_uniq compare
         in
@@ -175,15 +172,17 @@ let rec ref_ends ast s i ~start : int list =
       in
       go [i] [i]
 
-let ref_matches ast s =
-  let n = String.length s in
-  let rec try_from i = i <= n && (ref_ends ast s i ~start:0 <> [] || try_from (i + 1)) in
-  try_from 0
+let ref_matches_sub ast s ~pos ~len =
+  let stop = pos + len in
+  let rec try_from i = i <= stop && (ref_ends ast s i ~start:pos ~stop <> [] || try_from (i + 1)) in
+  try_from pos
+
+let ref_matches ast s = ref_matches_sub ast s ~pos:0 ~len:(String.length s)
 
 let gen_pattern =
   let open QCheck.Gen in
   let rec gen depth =
-    if depth = 0 then oneofl ["a"; "b"; "."; "[ab]"; "[^a]"]
+    if depth = 0 then oneofl ["a"; "b"; "."; "[ab]"; "[^a]"; "[^\\n]"; "^"; "$"]
     else
       oneof
         [
@@ -197,7 +196,8 @@ let gen_pattern =
   in
   gen 3
 
-let gen_input = QCheck.Gen.(string_size ~gen:(oneofl ['a'; 'b'; 'c']) (int_range 0 8))
+(* Inputs with and without newlines: [.] and [[^\n]] stop at one. *)
+let gen_input = QCheck.Gen.(string_size ~gen:(oneofl ['a'; 'b'; 'c'; '\n']) (int_range 0 8))
 
 let engine_vs_reference =
   qtest ~count:1000 "Pike VM agrees with naive reference"
@@ -218,6 +218,93 @@ let anchored_vs_reference =
       let engine = Gigascope_regex.Engine.search prog input ~pos:0 ~len:(String.length input) in
       engine = ref_matches ast input)
 
+(* A window [pos, pos+len) strictly inside the input: [^] holds at [pos]
+   only, and the bytes around the window must not be read. *)
+let sub_vs_reference =
+  let gen =
+    QCheck.Gen.(
+      gen_pattern >>= fun pattern ->
+      gen_input >>= fun input ->
+      let n = String.length input in
+      int_range 0 n >>= fun pos ->
+      int_range 0 (n - pos) >>= fun len -> return (pattern, "x" ^ input, pos + 1, len))
+  in
+  qtest ~count:1000 "matches_sub at pos > 0 agrees with reference"
+    (QCheck.make ~print:(fun (p, s, pos, len) -> Printf.sprintf "%S %S pos=%d len=%d" p s pos len) gen)
+    (fun (pattern, input, pos, len) ->
+      let rx = Regex.compile pattern in
+      let want = ref_matches_sub (Parse.parse pattern) input ~pos ~len in
+      Regex.matches_sub rx input ~pos ~len = want
+      && Regex.matches_bytes_sub rx (Bytes.of_string input) ~pos ~len = want)
+
+let test_mixed_anchoring () =
+  (* Alternations and loops whose paths differ in anchoring: a thread may
+     die at one offset while the unanchored branch still starts later. *)
+  let cases =
+    [
+      ("^a|b", "cb", true);
+      ("^a|b", "ca", false);
+      ("b|^a", "ab", true);
+      ("(^)*a", "ba", true);
+      ("(^)+a", "ba", false);
+      ("(^)+a", "ab", true);
+      ("(^a|b)c", "xbc", true);
+      ("^a|$", "xyz", true);
+      ("^a$|b$", "cab", true);
+      ("^[^\\n]*HTTP/1.*", "\nHTTP/1.1", false);
+    ]
+  in
+  List.iter
+    (fun (pattern, input, want) ->
+      check Alcotest.bool (Printf.sprintf "%s on %S" pattern input) want (m pattern input);
+      check Alcotest.bool
+        (Printf.sprintf "%s on %S (reference)" pattern input)
+        want
+        (ref_matches (Parse.parse pattern) input))
+    cases;
+  let rx = Regex.compile "^a|b" in
+  check Alcotest.bool "^ holds at pos" true (Regex.matches_sub rx "xab" ~pos:1 ~len:1);
+  check Alcotest.bool "^ only at pos" false (Regex.matches_sub rx "axa" ~pos:1 ~len:2);
+  check Alcotest.bool "later b after a dead ^a" true (Regex.matches_sub rx "xcb" ~pos:1 ~len:2)
+
+(* The Section 4 query's pattern over every payload kind the traffic
+   generator fabricates, against the reference and the definition: the
+   first line contains "HTTP/1". *)
+let test_paper_pattern_on_payloads () =
+  let module Payload = Gigascope_traffic.Payload in
+  let pattern = "^[^\\n]*HTTP/1.*" in
+  let rx = Regex.compile pattern and ast = Parse.parse pattern in
+  let first_line_has_http b =
+    let s = Bytes.to_string b in
+    let line = match String.index_opt s '\n' with Some i -> String.sub s 0 i | None -> s in
+    let n = String.length line in
+    let rec go i = i + 6 <= n && (String.sub line i 6 = "HTTP/1" || go (i + 1)) in
+    go 0
+  in
+  let kinds =
+    [
+      ("http_request", Payload.http_request, Some true);
+      ("http_response", Payload.http_response, Some true);
+      ("tunneled", Payload.tunneled, Some false);
+      ("random_binary", Payload.random_binary, None);
+      ("dns_query", Payload.dns_query, None);
+    ]
+  in
+  List.iter
+    (fun (name, make, expect) ->
+      let rng = Gigascope_util.Prng.create 13 in
+      for i = 0 to 39 do
+        let b = make rng (if i = 0 then 0 else 1 + (i * 37 mod 600)) in
+        let got = Regex.matches_bytes rx b in
+        let label = Printf.sprintf "%s #%d" name i in
+        check Alcotest.bool (label ^ " = definition") (first_line_has_http b) got;
+        check Alcotest.bool (label ^ " = reference") (ref_matches ast (Bytes.to_string b)) got;
+        match expect with
+        | Some want -> check Alcotest.bool (label ^ " kind") want got
+        | None -> ()
+      done)
+    kinds
+
 let () =
   Alcotest.run "regex"
     [
@@ -232,6 +319,8 @@ let () =
           Alcotest.test_case "alternation" `Quick test_alternation;
           Alcotest.test_case "escapes" `Quick test_escapes;
           Alcotest.test_case "paper HTTP pattern" `Quick test_paper_pattern;
+          Alcotest.test_case "paper pattern on payloads" `Quick test_paper_pattern_on_payloads;
+          Alcotest.test_case "mixed anchoring" `Quick test_mixed_anchoring;
           Alcotest.test_case "bytes api" `Quick test_bytes_api;
           Alcotest.test_case "pathological linear" `Quick test_pathological_linear;
         ] );
@@ -241,5 +330,5 @@ let () =
           Alcotest.test_case "error positions" `Quick test_error_positions;
           Alcotest.test_case "program size" `Quick test_program_size;
         ] );
-      ("properties", [engine_vs_reference; anchored_vs_reference]);
+      ("properties", [engine_vs_reference; anchored_vs_reference; sub_vs_reference]);
     ]

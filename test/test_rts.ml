@@ -434,6 +434,62 @@ let test_lfta_eviction_counting () =
   check Alcotest.int "evictions" 2 (Rts.Lfta_aggregate.evictions lfta);
   check Alcotest.int "three partials out" 3 (List.length (tuples out))
 
+(* An epoch advance flushes the table and then announces the new epoch,
+   shifted back by the input's band: a banded input may still deliver
+   tuples that far behind, so the bound must not close their epochs. *)
+let test_lfta_epoch_bound () =
+  let lfta ~direction ~band =
+    Rts.Lfta_aggregate.make
+      {
+        Rts.Lfta_aggregate.table_bits = 4;
+        pred = None;
+        keys = [| (fun t -> Some t.(0)) |];
+        epoch_key = Some 0;
+        direction;
+        band;
+        aggs = [| { Agg_fn.kind = Agg_fn.Count; arg = None } |];
+        assemble = (fun ~keys ~aggs -> Array.append keys aggs);
+        punct_in = None;
+        epoch_out = Some 0;
+      }
+  in
+  let show items =
+    List.map
+      (function
+        | Item.Tuple t -> "row " ^ Value.to_string t.(0)
+        | Item.Punct [ (0, v) ] -> "bound " ^ Value.to_string v
+        | _ -> "other")
+      items
+  in
+  let feed epochs = List.map (fun e -> Item.Tuple [| vint e |]) epochs in
+  let asc band = show (run_op (Rts.Lfta_aggregate.op (lfta ~direction:Order_prop.Asc ~band)) (feed [ 0; 0; 1; 1; 5 ])) in
+  check
+    Alcotest.(list string)
+    "no band: the bound is the new epoch"
+    [ "row 0"; "bound 1"; "row 1"; "bound 5" ]
+    (asc 0.0);
+  check
+    Alcotest.(list string)
+    "band 2: the bound lags the epoch by 2"
+    [ "row 0"; "bound -1"; "row 1"; "bound 3" ]
+    (asc 2.0);
+  check
+    Alcotest.(list string)
+    "fractional band floors"
+    [ "row 0"; "bound -1"; "row 1"; "bound 3" ]
+    (asc 1.5);
+  let desc = lfta ~direction:Order_prop.Desc ~band:2.0 in
+  check
+    Alcotest.(list string)
+    "descending: the bound leads by the band"
+    [ "row 9"; "bound 10" ]
+    (show (run_op (Rts.Lfta_aggregate.op desc) (feed [ 9; 8 ])));
+  check Alcotest.int "the first epoch announces nothing" 0
+    (List.length
+       (List.filter
+          (function Item.Punct _ -> true | _ -> false)
+          (run_op (Rts.Lfta_aggregate.op (lfta ~direction:Order_prop.Asc ~band:0.0)) (feed [ 3; 3 ]))))
+
 (* ------------------------------- Merge --------------------------------- *)
 
 let merge_outputs_ordered =
@@ -1159,6 +1215,7 @@ let () =
         [
           two_level_equivalence;
           Alcotest.test_case "eviction counting" `Quick test_lfta_eviction_counting;
+          Alcotest.test_case "epoch advance emits its bound" `Quick test_lfta_epoch_bound;
         ] );
       ( "merge",
         [

@@ -241,7 +241,7 @@ let test_unshardable_reported () =
   let report = E.shard_report engine in
   check Alcotest.bool "join refusal reported" true (contains report "matched: not sharded");
   (* and the unsharded engine reports nothing at all *)
-  check Alcotest.string "unsharded report empty" "" (E.shard_report (E.create ()))
+  check Alcotest.string "unsharded report empty" "" (E.shard_report (E.create ~shards:1 ()))
 
 (* ----------------------- the GIGASCOPE_SHARDS knob ---------------------- *)
 
