@@ -1,6 +1,6 @@
 # Convenience targets; `make ci` is what a CI job should run.
 
-.PHONY: all build test ci ci-observability ci-cluster ci-certify bench clean
+.PHONY: all build test ci ci-observability ci-cluster ci-certify bench bench-pairs clean
 
 all: build
 
@@ -130,6 +130,16 @@ ci-cluster:
 
 bench:
 	dune exec bench/main.exe
+
+# Paired end-to-end runs of one benchmark workload, the working tree
+# against git revision BASE, alternating sides (see bench/pairs.sh):
+#   make bench-pairs BASE=HEAD~1 W=e2_local N=10 SEED=5
+BASE ?= HEAD
+W ?= e2_local
+N ?= 10
+SEED ?= 5
+bench-pairs:
+	bash bench/pairs.sh $(BASE) $(W) $(N) $(SEED)
 
 clean:
 	dune clean

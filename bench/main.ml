@@ -416,14 +416,14 @@ let e3_select_aggregate ~n ~domains ~batch =
     Rts.Aggregate.make
       {
         Rts.Aggregate.pred = None;
-        keys = [| (fun t -> Some t.(0)) |];
+        keys = [| (fun t -> t.(0)) |];
         epoch_key = Some 0;
         direction = Rts.Order_prop.Asc;
         band = 0.0;
         aggs =
           [|
             { Rts.Agg_fn.kind = Rts.Agg_fn.Count; arg = None };
-            { Rts.Agg_fn.kind = Rts.Agg_fn.Sum; arg = Some (fun t -> Some t.(1)) };
+            { Rts.Agg_fn.kind = Rts.Agg_fn.Sum; arg = Some (fun t -> t.(1)) };
           |];
         assemble = (fun ~keys ~aggs -> Array.append keys aggs);
         having = None;
@@ -1192,7 +1192,7 @@ let run_micro () =
       {
         Rts.Lfta_aggregate.table_bits = 12;
         pred = None;
-        keys = [| (fun t -> Some t.(9)); (fun t -> Some t.(10)) |];
+        keys = [| (fun t -> t.(9)); (fun t -> t.(10)) |];
         epoch_key = None;
         direction = Rts.Order_prop.Asc;
         band = 0.0;

@@ -52,7 +52,7 @@ let () =
         aggs =
           [|
             { Rts.Agg_fn.kind = Rts.Agg_fn.Count; arg = None };
-            { Rts.Agg_fn.kind = Rts.Agg_fn.Sum; arg = Some (fun s -> Some s.(2)) };
+            { Rts.Agg_fn.kind = Rts.Agg_fn.Sum; arg = Some (fun s -> s.(2)) };
           |];
         epoch_field = 0;
         direction = Rts.Order_prop.Asc;

@@ -13,120 +13,114 @@ type params = (string, Value.t) Hashtbl.t
 
 (* ---------------- value-level operator semantics ----------------------- *)
 
-let as_ints a b =
+(* Compiled expressions return the value itself and signal "no value" —
+   a partial function missed, a parameter is unset, arithmetic faulted
+   or an operand is ill-typed — by raising [Value.No_value]. Booleans are
+   the two shared constants below, so comparisons and connectives
+   allocate nothing. *)
+let no_value () = raise_notrace Value.No_value
+let vtrue = Value.Bool true
+let vfalse = Value.Bool false
+let of_bool b = if b then vtrue else vfalse
+
+let num = function
+  | Value.Int i -> float_of_int i
+  | Value.Float f -> f
+  | Value.Bool b -> if b then 1.0 else 0.0
+  | Value.Null | Value.Str _ | Value.Ip _ | Value.Sketch _ -> no_value ()
+
+(* Int and Ip operands combine as integers; the checker allowed the mix.
+   Otherwise + - * / fall back to floats and the bitwise operators have
+   no value. *)
+let add a b =
   match (a, b) with
-  | (Value.Int x | Value.Ip x), (Value.Int y | Value.Ip y) -> Some (x, y)
-  | _ -> None
+  | (Value.Int x | Value.Ip x), (Value.Int y | Value.Ip y) -> Value.Int (x + y)
+  | _ -> Value.Float (num a +. num b)
 
-let as_floats a b =
-  match (Value.to_float a, Value.to_float b) with
-  | Some x, Some y -> Some (x, y)
-  | _ -> None
-
-let arith op a b =
-  match (op, as_ints a b) with
-  | Ast.Add, Some (x, y) -> Some (Value.Int (x + y))
-  | Ast.Sub, Some (x, y) -> Some (Value.Int (x - y))
-  | Ast.Mul, Some (x, y) -> Some (Value.Int (x * y))
-  | Ast.Div, Some (x, y) -> if y = 0 then None else Some (Value.Int (x / y))
-  | Ast.Mod, Some (x, y) -> if y = 0 then None else Some (Value.Int (x mod y))
-  | Ast.Band, Some (x, y) -> Some (Value.Int (x land y))
-  | Ast.Bor, Some (x, y) -> Some (Value.Int (x lor y))
-  | Ast.Shl, Some (x, y) -> Some (Value.Int (x lsl y))
-  | Ast.Shr, Some (x, y) -> Some (Value.Int (x lsr y))
-  | (Ast.Add | Ast.Sub | Ast.Mul | Ast.Div), None -> (
-      match (op, as_floats a b) with
-      | Ast.Add, Some (x, y) -> Some (Value.Float (x +. y))
-      | Ast.Sub, Some (x, y) -> Some (Value.Float (x -. y))
-      | Ast.Mul, Some (x, y) -> Some (Value.Float (x *. y))
-      | Ast.Div, Some (x, y) -> if y = 0.0 then None else Some (Value.Float (x /. y))
-      | _ -> None)
-  | _ -> None
-
-(* Ip and Int compare as numbers; the checker allowed the mix. *)
-let normalize_pair a b =
+let sub a b =
   match (a, b) with
-  | Value.Ip x, Value.Int _ -> (Value.Int x, b)
-  | Value.Int _, Value.Ip y -> (a, Value.Int y)
-  | _ -> (a, b)
+  | (Value.Int x | Value.Ip x), (Value.Int y | Value.Ip y) -> Value.Int (x - y)
+  | _ -> Value.Float (num a -. num b)
 
-let compare_vals op a b =
-  let a, b = normalize_pair a b in
-  let c = Value.compare a b in
-  let r =
-    match op with
-    | Ast.Eq -> c = 0
-    | Ast.Ne -> c <> 0
-    | Ast.Lt -> c < 0
-    | Ast.Le -> c <= 0
-    | Ast.Gt -> c > 0
-    | Ast.Ge -> c >= 0
-    | _ -> false
-  in
-  Some (Value.Bool r)
+let mul a b =
+  match (a, b) with
+  | (Value.Int x | Value.Ip x), (Value.Int y | Value.Ip y) -> Value.Int (x * y)
+  | _ -> Value.Float (num a *. num b)
+
+let div a b =
+  match (a, b) with
+  | (Value.Int x | Value.Ip x), (Value.Int y | Value.Ip y) ->
+      if y = 0 then no_value () else Value.Int (x / y)
+  | _ ->
+      let x = num a and y = num b in
+      if y = 0.0 then no_value () else Value.Float (x /. y)
+
+let int_op f a b =
+  match (a, b) with
+  | (Value.Int x | Value.Ip x), (Value.Int y | Value.Ip y) -> Value.Int (f x y)
+  | _ -> no_value ()
+
+let rem a b =
+  match (a, b) with
+  | (Value.Int x | Value.Ip x), (Value.Int y | Value.Ip y) ->
+      if y = 0 then no_value () else Value.Int (x mod y)
+  | _ -> no_value ()
+
+(* Ip and Int compare as numbers. *)
+let compare_vals a b =
+  match (a, b) with
+  | (Value.Int x | Value.Ip x), (Value.Int y | Value.Ip y) -> Int.compare x y
+  | _ -> Value.compare a b
 
 (* ---------------- expression compilation ------------------------------- *)
 
 let rec compile_expr ~params (e : Expr_ir.t) =
   match e with
-  | Expr_ir.Const v -> Ok (fun _ -> Some v)
-  | Expr_ir.Field (i, _) -> Ok (fun tup -> if i < Array.length tup then Some tup.(i) else None)
-  | Expr_ir.Param (name, _) -> Ok (fun _ -> Hashtbl.find_opt params name)
+  | Expr_ir.Const v -> Ok (fun _ -> v)
+  | Expr_ir.Field (i, _) -> Ok (fun tup -> if i < Array.length tup then tup.(i) else no_value ())
+  | Expr_ir.Param (name, _) ->
+      Ok
+        (fun _ ->
+          match Hashtbl.find params name with
+          | v -> v
+          | exception Not_found -> no_value ())
   | Expr_ir.Unop (Ast.Not, a) ->
       let* fa = compile_expr ~params a in
-      Ok
-        (fun tup ->
-          match fa tup with
-          | Some (Value.Bool b) -> Some (Value.Bool (not b))
-          | _ -> None)
+      Ok (fun tup -> match fa tup with Value.Bool b -> of_bool (not b) | _ -> no_value ())
   | Expr_ir.Unop (Ast.Neg, a) ->
       let* fa = compile_expr ~params a in
       Ok
         (fun tup ->
           match fa tup with
-          | Some (Value.Int i) -> Some (Value.Int (-i))
-          | Some (Value.Float f) -> Some (Value.Float (-.f))
-          | _ -> None)
-  | Expr_ir.Binop (Ast.And, a, b, _) ->
-      let* fa = compile_expr ~params a in
-      let* fb = compile_expr ~params b in
-      Ok
-        (fun tup ->
-          match fa tup with
-          | Some v when not (Value.is_truthy v) -> Some (Value.Bool false)
-          | Some _ -> (
-              match fb tup with
-              | Some w -> Some (Value.Bool (Value.is_truthy w))
-              | None -> None)
-          | None -> None)
-  | Expr_ir.Binop (Ast.Or, a, b, _) ->
-      let* fa = compile_expr ~params a in
-      let* fb = compile_expr ~params b in
-      Ok
-        (fun tup ->
-          match fa tup with
-          | Some v when Value.is_truthy v -> Some (Value.Bool true)
-          | Some _ -> (
-              match fb tup with
-              | Some w -> Some (Value.Bool (Value.is_truthy w))
-              | None -> None)
-          | None -> None)
-  | Expr_ir.Binop (((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), a, b, _) ->
-      let* fa = compile_expr ~params a in
-      let* fb = compile_expr ~params b in
-      Ok
-        (fun tup ->
-          match (fa tup, fb tup) with
-          | Some va, Some vb -> compare_vals op va vb
-          | _ -> None)
+          | Value.Int i -> Value.Int (-i)
+          | Value.Float f -> Value.Float (-.f)
+          | _ -> no_value ())
   | Expr_ir.Binop (op, a, b, _) ->
       let* fa = compile_expr ~params a in
       let* fb = compile_expr ~params b in
       Ok
-        (fun tup ->
-          match (fa tup, fb tup) with
-          | Some va, Some vb -> arith op va vb
-          | _ -> None)
+        (match op with
+        | Ast.And ->
+            fun tup ->
+              if Value.is_truthy (fa tup) then of_bool (Value.is_truthy (fb tup)) else vfalse
+        | Ast.Or ->
+            fun tup ->
+              if Value.is_truthy (fa tup) then vtrue else of_bool (Value.is_truthy (fb tup))
+        | Ast.Eq -> fun tup -> of_bool (compare_vals (fa tup) (fb tup) = 0)
+        | Ast.Ne -> fun tup -> of_bool (compare_vals (fa tup) (fb tup) <> 0)
+        | Ast.Lt -> fun tup -> of_bool (compare_vals (fa tup) (fb tup) < 0)
+        | Ast.Le -> fun tup -> of_bool (compare_vals (fa tup) (fb tup) <= 0)
+        | Ast.Gt -> fun tup -> of_bool (compare_vals (fa tup) (fb tup) > 0)
+        | Ast.Ge -> fun tup -> of_bool (compare_vals (fa tup) (fb tup) >= 0)
+        | Ast.Add -> fun tup -> add (fa tup) (fb tup)
+        | Ast.Sub -> fun tup -> sub (fa tup) (fb tup)
+        | Ast.Mul -> fun tup -> mul (fa tup) (fb tup)
+        | Ast.Div -> fun tup -> div (fa tup) (fb tup)
+        | Ast.Mod -> fun tup -> rem (fa tup) (fb tup)
+        | Ast.Band -> fun tup -> int_op ( land ) (fa tup) (fb tup)
+        | Ast.Bor -> fun tup -> int_op ( lor ) (fa tup) (fb tup)
+        | Ast.Shl -> fun tup -> int_op ( lsl ) (fa tup) (fb tup)
+        | Ast.Shr -> fun tup -> int_op ( lsr ) (fa tup) (fb tup))
   | Expr_ir.Call (f, args) ->
       (* Instantiate handles now: the expensive preprocessing of
          pass-by-handle parameters happens once per query instance. *)
@@ -159,18 +153,14 @@ let rec compile_expr ~params (e : Expr_ir.t) =
       Ok
         (fun tup ->
           let vals = Array.make n Value.Null in
-          let ok = ref true in
-          Array.iteri
-            (fun i fa ->
-              match fa tup with
-              | Some v -> vals.(i) <- v
-              | None -> ok := false)
-            arg_fns;
-          if !ok then impl vals else None)
+          for i = 0 to n - 1 do
+            vals.(i) <- arg_fns.(i) tup
+          done;
+          match impl vals with Some v -> v | None -> no_value ())
 
 let compile_pred ~params e =
   let* f = compile_expr ~params e in
-  Ok (fun tup -> match f tup with Some v -> Value.is_truthy v | None -> false)
+  Ok (fun tup -> match f tup with v -> Value.is_truthy v | exception Value.No_value -> false)
 
 (* ---------------- operator construction -------------------------------- *)
 
@@ -207,13 +197,13 @@ let projector item_fns =
   let n = Array.length item_fns in
   fun tup ->
     let out = Array.make n Value.Null in
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      match item_fns.(i) tup with
-      | Some v -> out.(i) <- v
-      | None -> ok := false
-    done;
-    if !ok then Some out else None
+    match
+      for i = 0 to n - 1 do
+        out.(i) <- item_fns.(i) tup
+      done
+    with
+    | () -> Some out
+    | exception Value.No_value -> None
 
 (* Identity-projected ordered input fields, for punctuation translation. *)
 let punct_map_of_items ~in_schema items =
@@ -237,7 +227,7 @@ let bound_translator ~params key_expr ~in_field ~in_arity =
       fun bound ->
         let synthetic = Array.make in_arity Value.Null in
         if in_field < in_arity then synthetic.(in_field) <- bound;
-        f synthetic
+        match f synthetic with v -> Some v | exception Value.No_value -> None
 
 let agg_specs ~params (aggs : Plan.agg_call list) =
   let rec go acc = function
@@ -279,9 +269,7 @@ let make_agg_config ~params ~sample_seed:_ (a : Plan.agg_body) =
     let virt = Array.append keys agg_vals in
     let out = Array.make n_items Value.Null in
     for i = 0 to n_items - 1 do
-      match item_fns.(i) virt with
-      | Some v -> out.(i) <- v
-      | None -> out.(i) <- Value.Null
+      out.(i) <- (try item_fns.(i) virt with Value.No_value -> Value.Null)
     done;
     out
   in

@@ -16,11 +16,13 @@ module Rts = Gigascope_rts
 type params = (string, Rts.Value.t) Hashtbl.t
 
 val compile_expr :
-  params:params -> Expr_ir.t -> (Rts.Value.t array -> Rts.Value.t option, string) result
-(** [None] at evaluation time means "no value": a partial function missed,
-    a parameter is unset, or arithmetic faulted (division by zero). The
-    containing tuple is then discarded, per GSQL's partial-function
-    semantics. *)
+  params:params -> Expr_ir.t -> (Rts.Value.t array -> Rts.Value.t, string) result
+(** The compiled closure raises {!Rts.Value.No_value} (without a
+    backtrace) for "no value": a partial function missed, a parameter is
+    unset, arithmetic faulted (division by zero) or an operand has the
+    wrong type. The containing tuple is then discarded, per GSQL's
+    partial-function semantics. Comparisons and connectives return
+    shared [Bool] constants, so they allocate nothing. *)
 
 val compile_pred : params:params -> Expr_ir.t -> (Rts.Value.t array -> bool, string) result
 (** Predicate view: "no value" is false. *)

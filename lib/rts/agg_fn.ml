@@ -7,13 +7,15 @@ type sketch_spec =
 
 type kind = Count | Sum | Min | Max | Avg | Sketch of { sk : sketch_spec; partial : bool }
 
-type spec = { kind : kind; arg : (Value.t array -> Value.t option) option }
+type spec = { kind : kind; arg : (Value.t array -> Value.t) option }
 
 type acc = {
   kind : kind;
   mutable n : int;
   mutable sum_i : int;
-  mutable sum_f : float;
+  sum_f : float array;
+      (* one cell: a float field in this mixed record would be boxed, so
+         every numeric step would allocate *)
   mutable is_float : bool;
   mutable extremum : Value.t;
   mutable sketch : Sk.t option;
@@ -24,9 +26,26 @@ let make_sketch = function
   | Heavy { k } -> Sk.topk ~k
   | Freq { eps; delta } -> Sk.cm ~eps ~delta
 
+let fresh_sketch = function Sketch { sk; _ } -> Some (make_sketch sk) | _ -> None
+
 let init kind =
-  let sketch = match kind with Sketch { sk; _ } -> Some (make_sketch sk) | _ -> None in
-  { kind; n = 0; sum_i = 0; sum_f = 0.0; is_float = false; extremum = Value.Null; sketch }
+  {
+    kind;
+    n = 0;
+    sum_i = 0;
+    sum_f = [| 0.0 |];
+    is_float = false;
+    extremum = Value.Null;
+    sketch = fresh_sketch kind;
+  }
+
+let reset acc =
+  acc.n <- 0;
+  acc.sum_i <- 0;
+  acc.sum_f.(0) <- 0.0;
+  acc.is_float <- false;
+  acc.extremum <- Value.Null;
+  acc.sketch <- fresh_sketch acc.kind
 
 (* The canonical item a sketch hashes: the value's printed form, so the
    same value folds identically on every node of an aggregation tree. *)
@@ -35,34 +54,38 @@ let canonical v = Value.to_string v
 let step acc v =
   match (acc.kind, v) with
   | Count, _ -> acc.n <- acc.n + 1
-  | _, (None | Some Value.Null) -> ()
-  | Sketch _, Some (Value.Sketch s) -> (
+  | _, Value.Null -> ()
+  | Sketch _, Value.Sketch s -> (
       (* a lower tree level's partial state: merge, don't re-hash.
          An incompatible state is skipped like any ill-typed argument. *)
       acc.n <- acc.n + 1;
       match acc.sketch with
       | Some dst -> ( match Sk.merge_into dst s with Ok () -> () | Error _ -> ())
       | None -> acc.sketch <- Some (Sk.copy s))
-  | Sketch _, Some v -> (
+  | Sketch _, v -> (
       acc.n <- acc.n + 1;
       match acc.sketch with Some s -> Sk.add s (canonical v) | None -> ())
-  | (Sum | Avg), Some (Value.Int i) ->
+  | (Sum | Avg), Value.Int i ->
       acc.n <- acc.n + 1;
       acc.sum_i <- acc.sum_i + i;
-      acc.sum_f <- acc.sum_f +. float_of_int i
-  | (Sum | Avg), Some (Value.Float f) ->
+      acc.sum_f.(0) <- acc.sum_f.(0) +. float_of_int i
+  | (Sum | Avg), Value.Float f ->
       acc.n <- acc.n + 1;
       acc.is_float <- true;
-      acc.sum_f <- acc.sum_f +. f
-  | (Min | Max), Some v ->
+      acc.sum_f.(0) <- acc.sum_f.(0) +. f
+  | Min, v ->
       acc.n <- acc.n + 1;
-      let better =
-        match acc.extremum with
-        | Value.Null -> true
-        | prev -> if acc.kind = Min then Value.compare v prev < 0 else Value.compare v prev > 0
-      in
-      if better then acc.extremum <- v
-  | (Sum | Avg), Some (Value.Bool _ | Value.Str _ | Value.Ip _ | Value.Sketch _) -> ()
+      if acc.extremum == Value.Null || Value.compare v acc.extremum < 0 then acc.extremum <- v
+  | Max, v ->
+      acc.n <- acc.n + 1;
+      if acc.extremum == Value.Null || Value.compare v acc.extremum > 0 then acc.extremum <- v
+  | (Sum | Avg), (Value.Bool _ | Value.Str _ | Value.Ip _ | Value.Sketch _) -> ()
+
+let step_tuple (spec : spec) acc values =
+  step acc
+    (match spec.arg with
+    | None -> Value.Null
+    | Some f -> ( try f values with Value.No_value -> Value.Null))
 
 let render_top s =
   String.concat ","
@@ -73,9 +96,9 @@ let final acc =
   | Count -> Value.Int acc.n
   | Sum ->
       if acc.n = 0 then Value.Null
-      else if acc.is_float then Value.Float acc.sum_f
+      else if acc.is_float then Value.Float acc.sum_f.(0)
       else Value.Int acc.sum_i
-  | Avg -> if acc.n = 0 then Value.Null else Value.Float (acc.sum_f /. float_of_int acc.n)
+  | Avg -> if acc.n = 0 then Value.Null else Value.Float (acc.sum_f.(0) /. float_of_int acc.n)
   | Min | Max -> acc.extremum
   | Sketch { partial = true; _ } -> (
       (* copied: the accumulator may keep folding after the emit *)
@@ -94,7 +117,7 @@ let merge_partial acc other =
   | Sum | Avg ->
       acc.n <- acc.n + other.n;
       acc.sum_i <- acc.sum_i + other.sum_i;
-      acc.sum_f <- acc.sum_f +. other.sum_f;
+      acc.sum_f.(0) <- acc.sum_f.(0) +. other.sum_f.(0);
       acc.is_float <- acc.is_float || other.is_float
   | Min | Max -> (
       match other.extremum with

@@ -32,21 +32,33 @@ type kind =
 
 type spec = {
   kind : kind;
-  arg : (Value.t array -> Value.t option) option;
-      (** argument expression; [None] only for [Count] *)
+  arg : (Value.t array -> Value.t) option;
+      (** argument expression; [None] only for [Count]. It may raise
+          {!Value.No_value}, which the operators fold as [Null]. *)
 }
 
 type acc
 (** One group's accumulator for one aggregate. *)
 
 val init : kind -> acc
-val step : acc -> Value.t option -> unit
-(** [step acc v] folds one tuple's argument value ([None] for [Count]
-    steps the count). [Null] arguments are skipped, as in SQL. A sketch
+
+val reset : acc -> unit
+(** Return [acc] to its {!init} state in place, so a reused LFTA slot
+    starts from zero without allocating a new accumulator. *)
+
+val step : acc -> Value.t -> unit
+(** [step acc v] folds one tuple's argument value. [Count] counts every
+    step, whatever [v] is (a keyless [count] steps with [Null]); the
+    other kinds skip [Null] arguments, as in SQL. A sketch
     accumulator folds a raw value by canonicalizing it into the sketch,
     and a [Value.Sketch] argument (a lower level's partial) by merging
     it — an incompatible state is skipped, mirroring how [Sum] skips a
     string. *)
+
+val step_tuple : spec -> acc -> Value.t array -> unit
+(** [step_tuple spec acc tuple] steps [acc] with [spec]'s argument
+    evaluated on [tuple]: [Null] when there is no argument or it raises
+    {!Value.No_value}. *)
 
 val final : acc -> Value.t
 (** [Count] of nothing is 0; [Sum]/[Min]/[Max]/[Avg] of nothing is

@@ -1,6 +1,6 @@
 type config = {
   pred : (Value.t array -> bool) option;
-  keys : (Value.t array -> Value.t option) array;
+  keys : (Value.t array -> Value.t) array;
   epoch_key : int option;
   direction : Order_prop.direction;
   band : float;
@@ -49,11 +49,15 @@ let behind_threshold ~direction ~band frontier =
         | _ -> Value.Float shifted)
 
 let step_group g cfg values =
-  Array.iteri
-    (fun i (spec : Agg_fn.spec) ->
-      let arg = match spec.Agg_fn.arg with None -> None | Some f -> f values in
-      Agg_fn.step g.accs.(i) arg)
-    cfg.aggs
+  Array.iteri (fun i spec -> Agg_fn.step_tuple spec g.accs.(i) values) cfg.aggs
+
+(* The tuple's group key; raises [Value.No_value] when a key has none. *)
+let eval_key keys values =
+  let key = Array.make (Array.length keys) Value.Null in
+  for i = 0 to Array.length keys - 1 do
+    key.(i) <- keys.(i) values
+  done;
+  key
 
 let emit_group t g ~emit =
   let agg_values = Array.map Agg_fn.final g.accs in
@@ -116,39 +120,30 @@ let make cfg =
 
 let on_tuple t values ~emit =
   let cfg = t.cfg in
-  if (match cfg.pred with Some p -> p values | None -> true) then begin
-  let n = Array.length cfg.keys in
-  let key = Array.make n Value.Null in
-  let ok = ref true in
-  Array.iteri
-    (fun i kf ->
-      match kf values with
-      | Some v -> key.(i) <- v
-      | None -> ok := false)
-    cfg.keys;
-  if !ok then begin
-    (match cfg.epoch_key with
-    | Some ek ->
-        let v = key.(ek) in
-        let advanced = t.high_water = Value.Null || ahead cfg v t.high_water in
-        if advanced then begin
-          t.high_water <- v;
-          flush_behind t
-            ~threshold:(behind_threshold ~direction:cfg.direction ~band:cfg.band v)
-            ~emit ()
-        end
-    | None -> ());
-    let group =
-      match Group_tbl.find_opt t.groups key with
-      | Some g -> g
-      | None ->
-          let g = { key = Array.copy key; accs = Array.map (fun s -> Agg_fn.init s.Agg_fn.kind) cfg.aggs } in
-          Group_tbl.replace t.groups key g;
-          g
-    in
-    step_group group cfg values
-  end
-  end
+  if match cfg.pred with Some p -> p values | None -> true then
+    match eval_key cfg.keys values with
+    | exception Value.No_value -> ()
+    | key ->
+        (match cfg.epoch_key with
+        | Some ek ->
+            let v = key.(ek) in
+            let advanced = t.high_water = Value.Null || ahead cfg v t.high_water in
+            if advanced then begin
+              t.high_water <- v;
+              flush_behind t
+                ~threshold:(behind_threshold ~direction:cfg.direction ~band:cfg.band v)
+                ~emit ()
+            end
+        | None -> ());
+        let group =
+          match Group_tbl.find_opt t.groups key with
+          | Some g -> g
+          | None ->
+              let g = { key; accs = Array.map (fun s -> Agg_fn.init s.Agg_fn.kind) cfg.aggs } in
+              Group_tbl.replace t.groups key g;
+              g
+        in
+        step_group group cfg values
 
 let on_punct t bounds ~emit =
   match (t.cfg.punct_in, t.cfg.epoch_key) with

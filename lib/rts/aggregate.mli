@@ -12,9 +12,9 @@
 type config = {
   pred : (Value.t array -> bool) option;
       (** the WHERE clause, folded into the operator as generated C would *)
-  keys : (Value.t array -> Value.t option) array;
-      (** group-key expressions; [None] (a partial function) discards the
-          input tuple *)
+  keys : (Value.t array -> Value.t) array;
+      (** group-key expressions; one that raises {!Value.No_value} (a
+          partial function) discards the input tuple *)
   epoch_key : int option;  (** index into [keys] of the ordered key *)
   direction : Order_prop.direction;
   band : float;  (** slack before closing (banded-increasing inputs) *)

@@ -11,12 +11,21 @@
     complete the computation. Epoch advancement flushes the whole table
     and announces the new epoch's bound.
     Emitted partials carry no ordering promise except bandedness on the
-    epoch key, which {!Order_infer} imputes. *)
+    epoch key, which {!Order_infer} imputes.
+
+    A group lands in slot [Value.hash_array key land (2^table_bits - 1)].
+    The table is held in flat columns: Int and Ip keys unboxed in an
+    [int array] with a tag byte per slot, other kinds in a [Value.t
+    array] created on first need; each slot's accumulators are reset in
+    place when the slot is reused. Nothing is allocated before the first
+    tuple. *)
 
 type config = {
   table_bits : int;  (** table size is [2 ^ table_bits] slots *)
   pred : (Value.t array -> bool) option;  (** preliminary filtering *)
-  keys : (Value.t array -> Value.t option) array;
+  keys : (Value.t array -> Value.t) array;
+      (** group-key expressions; one that raises {!Value.No_value}
+          discards the input tuple *)
   epoch_key : int option;
   direction : Order_prop.direction;
   band : float;

@@ -46,9 +46,7 @@ let emit_epoch t ~emit =
     (fun i base_row ->
       let agg_values = Array.map Agg_fn.final t.accs.(i) in
       ignore (emit (Item.Tuple (t.cfg.assemble ~base:base_row ~epoch:t.epoch ~aggs:agg_values)));
-      Array.iteri
-        (fun j (s : Agg_fn.spec) -> t.accs.(i).(j) <- Agg_fn.init s.Agg_fn.kind)
-        t.cfg.aggs)
+      Array.iter Agg_fn.reset t.accs.(i))
     t.cfg.base
 
 let on_tuple t values ~emit =
@@ -65,11 +63,7 @@ let on_tuple t values ~emit =
   Array.iteri
     (fun i base_row ->
       if cfg.theta base_row values then
-        Array.iteri
-          (fun j (spec : Agg_fn.spec) ->
-            let arg = match spec.Agg_fn.arg with None -> None | Some f -> f values in
-            Agg_fn.step t.accs.(i).(j) arg)
-          cfg.aggs)
+        Array.iteri (fun j spec -> Agg_fn.step_tuple spec t.accs.(i).(j) values) cfg.aggs)
     cfg.base
 
 let op t =

@@ -10,6 +10,8 @@ type t =
   | Ip of int
   | Sketch of Sketch.t
 
+exception No_value
+
 let rank = function
   | Null -> 0
   | Bool _ -> 1
@@ -68,9 +70,13 @@ let pp fmt = function
 
 let to_string v = Format.asprintf "%a" pp v
 
+let hash_combine h v = (h * 31) + hash v
+
 let hash_array arr =
   let h = ref 0 in
-  Array.iter (fun v -> h := (!h * 31) + hash v) arr;
+  for i = 0 to Array.length arr - 1 do
+    h := hash_combine !h (Array.unsafe_get arr i)
+  done;
   !h land max_int
 
 let equal_array a b =

@@ -69,15 +69,47 @@ let random_query rng =
         pred,
         Printf.sprintf "GROUP BY time/%d as tb%s" bucket extra_key )
 
+(* The LFTA table's random space: a table small enough that groups
+   collide and evict (lfta_bits 1 and 3) or one as large as the default,
+   group keys of every kind the table stores — Int fields, Ip fields and
+   a truncated Ip, and an fdiv Float key that is Null for even ports —
+   and every aggregate the splitter decomposes. *)
+let random_table_query rng =
+  let pick a = a.(Prng.int rng (Array.length a)) in
+  let bits = pick [| 1; 3; 12 |] in
+  let keys =
+    List.filter
+      (fun _ -> Prng.int rng 3 = 0)
+      [
+        ("destport", "destport");
+        ("srcip", "srcip");
+        ("destip", "destip");
+        ("srcport", "srcport");
+        ("truncate_ip(srcip, 16) as subnet", "subnet");
+        ("fdiv(len, destport & 1) as fk", "fk");
+      ]
+  in
+  let aggs =
+    "count(*) as c"
+    :: List.filter (fun _ -> Prng.bool rng)
+         [ "sum(len) as s"; "min(len) as mn"; "max(len) as mx"; "avg(len) as av" ]
+  in
+  let bucket = pick [| 1; 2; 5 |] in
+  ( bits,
+    String.concat ", " (("tb" :: List.map snd keys) @ aggs),
+    random_pred rng,
+    Printf.sprintf "GROUP BY time/%d as tb%s" bucket
+      (String.concat "" (List.map (fun (k, _) -> ", " ^ k) keys)) )
+
 (* pass-through field list covering everything the random space can use *)
 let passthrough_fields = "time, srcip, destip, srcport, destport, protocol, len, ttl, data_length"
 
-let build_query ~split ~items ~pred ~group =
+let build_query ?(bits = 12) ~split ~items ~pred ~group () =
   if split then
     Printf.sprintf
-      {| DEFINE { query_name q_split; }
+      {| DEFINE { query_name q_split; lfta_bits %d; }
          SELECT %s FROM eth0.tcp WHERE %s %s |}
-      items pred group
+      bits items pred group
   else
     Printf.sprintf
       {|
@@ -89,10 +121,10 @@ let build_query ~split ~items ~pred ~group =
     |}
       passthrough_fields items pred group
 
-let run_variant ~split ~packets ~items ~pred ~group =
+let run_variant ?bits ~split ~packets ~items ~pred ~group () =
   let engine = E.create ~default_capacity:300_000 () in
   E.add_packet_list_interface engine ~name:"eth0" packets;
-  match E.install_program engine (build_query ~split ~items ~pred ~group) with
+  match E.install_program engine (build_query ?bits ~split ~items ~pred ~group ()) with
   | Error e -> Error e
   | Ok _ -> (
       let out = ref [] in
@@ -112,22 +144,30 @@ let traffic seed =
   let rec go acc = match Traffic.Gen.next gen with Some p -> go (p :: acc) | None -> List.rev acc in
   go []
 
+(* Odd seeds draw from the LFTA table's space, even ones from the
+   general one (at the default table size). *)
 let split_equals_unsplit =
-  qtest ~count:30 "split plan = unsplit plan on random queries" QCheck.small_int (fun seed ->
+  qtest ~count:60 "split plan = unsplit plan on random queries" QCheck.small_int (fun seed ->
       let rng = Prng.create (seed * 31 + 7) in
-      let _, items, pred, group = random_query rng in
+      let bits, items, pred, group =
+        if seed land 1 = 1 then random_table_query rng
+        else
+          let _, items, pred, group = random_query rng in
+          (12, items, pred, group)
+      in
       let packets = traffic (seed + 1000) in
       match
-        ( run_variant ~split:true ~packets ~items ~pred ~group,
-          run_variant ~split:false ~packets ~items ~pred ~group )
+        ( run_variant ~bits ~split:true ~packets ~items ~pred ~group (),
+          run_variant ~split:false ~packets ~items ~pred ~group () )
       with
       | Ok a, Ok b ->
           if a = b then true
           else
-            QCheck.Test.fail_reportf "mismatch for SELECT %s WHERE %s %s: %d vs %d rows" items
-              pred group (List.length a) (List.length b)
+            QCheck.Test.fail_reportf "mismatch for lfta_bits %d SELECT %s WHERE %s %s: %d vs %d rows"
+              bits items pred group (List.length a) (List.length b)
       | Error e, _ | _, Error e ->
-          QCheck.Test.fail_reportf "query failed (SELECT %s WHERE %s %s): %s" items pred group e)
+          QCheck.Test.fail_reportf "query failed (lfta_bits %d SELECT %s WHERE %s %s): %s" bits items
+            pred group e)
 
 (* a second differential: NIC filtering must never change query results *)
 let nic_never_changes_results =

@@ -583,7 +583,7 @@ let eval_expr text row =
           let params = Hashtbl.create 4 in
           Hashtbl.replace params "p" (Value.Int 7);
           match Codegen.compile_expr ~params ir with
-          | Ok f -> f row
+          | Ok f -> ( try Some (f row) with Value.No_value -> None)
           | Error e -> Alcotest.failf "codegen: %s" e)
       | _ -> Alcotest.fail "unexpected plan shape")
 
@@ -607,6 +607,282 @@ let test_codegen_short_circuit () =
   (* the right side would divide by zero, but the left side is false *)
   check Alcotest.bool "and short-circuits" true
     (eval_expr "a > 1 and a / b > 0" row = Some (Value.Bool false))
+
+(* The option-returning expression compiler that raising closures
+   replaced, kept verbatim as the reference the differential below holds
+   the compiled closures to. *)
+module Reference = struct
+  module Func = Rts.Func
+
+  let ( let* ) = Result.bind
+  let err fmt = Printf.ksprintf (fun s -> Error s) fmt
+
+  let as_ints a b =
+    match (a, b) with
+    | (Value.Int x | Value.Ip x), (Value.Int y | Value.Ip y) -> Some (x, y)
+    | _ -> None
+
+  let as_floats a b =
+    match (Value.to_float a, Value.to_float b) with
+    | Some x, Some y -> Some (x, y)
+    | _ -> None
+
+  let arith op a b =
+    match (op, as_ints a b) with
+    | Ast.Add, Some (x, y) -> Some (Value.Int (x + y))
+    | Ast.Sub, Some (x, y) -> Some (Value.Int (x - y))
+    | Ast.Mul, Some (x, y) -> Some (Value.Int (x * y))
+    | Ast.Div, Some (x, y) -> if y = 0 then None else Some (Value.Int (x / y))
+    | Ast.Mod, Some (x, y) -> if y = 0 then None else Some (Value.Int (x mod y))
+    | Ast.Band, Some (x, y) -> Some (Value.Int (x land y))
+    | Ast.Bor, Some (x, y) -> Some (Value.Int (x lor y))
+    | Ast.Shl, Some (x, y) -> Some (Value.Int (x lsl y))
+    | Ast.Shr, Some (x, y) -> Some (Value.Int (x lsr y))
+    | (Ast.Add | Ast.Sub | Ast.Mul | Ast.Div), None -> (
+        match (op, as_floats a b) with
+        | Ast.Add, Some (x, y) -> Some (Value.Float (x +. y))
+        | Ast.Sub, Some (x, y) -> Some (Value.Float (x -. y))
+        | Ast.Mul, Some (x, y) -> Some (Value.Float (x *. y))
+        | Ast.Div, Some (x, y) -> if y = 0.0 then None else Some (Value.Float (x /. y))
+        | _ -> None)
+    | _ -> None
+
+  let normalize_pair a b =
+    match (a, b) with
+    | Value.Ip x, Value.Int _ -> (Value.Int x, b)
+    | Value.Int _, Value.Ip y -> (a, Value.Int y)
+    | _ -> (a, b)
+
+  let compare_vals op a b =
+    let a, b = normalize_pair a b in
+    let c = Value.compare a b in
+    let r =
+      match op with
+      | Ast.Eq -> c = 0
+      | Ast.Ne -> c <> 0
+      | Ast.Lt -> c < 0
+      | Ast.Le -> c <= 0
+      | Ast.Gt -> c > 0
+      | Ast.Ge -> c >= 0
+      | _ -> false
+    in
+    Some (Value.Bool r)
+
+  let rec compile_expr ~params (e : Expr_ir.t) =
+    match e with
+    | Expr_ir.Const v -> Ok (fun _ -> Some v)
+    | Expr_ir.Field (i, _) -> Ok (fun tup -> if i < Array.length tup then Some tup.(i) else None)
+    | Expr_ir.Param (name, _) -> Ok (fun _ -> Hashtbl.find_opt params name)
+    | Expr_ir.Unop (Ast.Not, a) ->
+        let* fa = compile_expr ~params a in
+        Ok (fun tup -> match fa tup with Some (Value.Bool b) -> Some (Value.Bool (not b)) | _ -> None)
+    | Expr_ir.Unop (Ast.Neg, a) ->
+        let* fa = compile_expr ~params a in
+        Ok
+          (fun tup ->
+            match fa tup with
+            | Some (Value.Int i) -> Some (Value.Int (-i))
+            | Some (Value.Float f) -> Some (Value.Float (-.f))
+            | _ -> None)
+    | Expr_ir.Binop (Ast.And, a, b, _) ->
+        let* fa = compile_expr ~params a in
+        let* fb = compile_expr ~params b in
+        Ok
+          (fun tup ->
+            match fa tup with
+            | Some v when not (Value.is_truthy v) -> Some (Value.Bool false)
+            | Some _ -> (
+                match fb tup with Some w -> Some (Value.Bool (Value.is_truthy w)) | None -> None)
+            | None -> None)
+    | Expr_ir.Binop (Ast.Or, a, b, _) ->
+        let* fa = compile_expr ~params a in
+        let* fb = compile_expr ~params b in
+        Ok
+          (fun tup ->
+            match fa tup with
+            | Some v when Value.is_truthy v -> Some (Value.Bool true)
+            | Some _ -> (
+                match fb tup with Some w -> Some (Value.Bool (Value.is_truthy w)) | None -> None)
+            | None -> None)
+    | Expr_ir.Binop (((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), a, b, _) ->
+        let* fa = compile_expr ~params a in
+        let* fb = compile_expr ~params b in
+        Ok
+          (fun tup ->
+            match (fa tup, fb tup) with Some va, Some vb -> compare_vals op va vb | _ -> None)
+    | Expr_ir.Binop (op, a, b, _) ->
+        let* fa = compile_expr ~params a in
+        let* fb = compile_expr ~params b in
+        Ok (fun tup -> match (fa tup, fb tup) with Some va, Some vb -> arith op va vb | _ -> None)
+    | Expr_ir.Call (f, args) ->
+        let handle_value idx =
+          match List.nth_opt args idx with
+          | Some (Expr_ir.Const v) -> Ok v
+          | Some (Expr_ir.Param (name, _)) -> (
+              match Hashtbl.find_opt params name with
+              | Some v -> Ok v
+              | None -> err "function %s: handle parameter $%s has no value" f.Func.name name)
+          | _ -> err "function %s: handle argument %d is not a literal" f.Func.name idx
+        in
+        let rec handles acc = function
+          | [] -> Ok (List.rev acc)
+          | idx :: rest ->
+              let* v = handle_value idx in
+              handles (v :: acc) rest
+        in
+        let* handle_values = handles [] f.Func.handle_args in
+        let* impl = f.Func.instantiate handle_values in
+        let rec compile_args acc = function
+          | [] -> Ok (List.rev acc)
+          | a :: rest ->
+              let* fa = compile_expr ~params a in
+              compile_args (fa :: acc) rest
+        in
+        let* arg_fns = compile_args [] args in
+        let arg_fns = Array.of_list arg_fns in
+        let n = Array.length arg_fns in
+        Ok
+          (fun tup ->
+            let vals = Array.make n Value.Null in
+            let ok = ref true in
+            Array.iteri
+              (fun i fa -> match fa tup with Some v -> vals.(i) <- v | None -> ok := false)
+              arg_fns;
+            if !ok then impl vals else None)
+end
+
+(* Random well-typed expressions over a fixed row layout. *)
+let diff_row_tys = [| Ty.Int; Ty.Ip; Ty.Float; Ty.Str; Ty.Bool; Ty.Int |]
+
+let diff_funcs =
+  let reg = Rts.Func.create_registry () in
+  Rts.Builtin_funcs.register_all reg;
+  fun name -> Option.get (Rts.Func.find reg name)
+
+let gen_typed_expr =
+  let open QCheck.Gen in
+  let field ty =
+    let idxs = List.filter (fun i -> diff_row_tys.(i) = ty) [ 0; 1; 2; 3; 4; 5 ] in
+    map (fun i -> Expr_ir.Field (i, ty)) (oneofl idxs)
+  in
+  let int_const = map (fun i -> Value.Int i) (oneof [ int_range (-5) 5; int_range 0 64; int ]) in
+  let const ty =
+    match ty with
+    | Ty.Int -> int_const
+    | Ty.Ip -> map (fun i -> Value.Ip i) (oneofl [ 0x0a000001; 0x0b000009; 0x0c000009; 0 ])
+    | Ty.Float -> map (fun f -> Value.Float f) (oneofl [ 0.0; -0.0; 1.5; -2.25; 1e300; 3.0 ])
+    | Ty.Str -> map (fun s -> Value.Str s) (oneofl [ ""; "a"; "HTTP/1.1"; "b" ])
+    | _ -> map (fun b -> Value.Bool b) bool
+  in
+  let leaf ty =
+    frequency
+      [
+        (3, map (fun v -> Expr_ir.Const v) (const ty));
+        (3, field ty);
+        (1, return (Expr_ir.Const Value.Null));
+        (1, return (Expr_ir.Param ("p", ty)));
+        (* past the end of the row: no value *)
+        (1, return (Expr_ir.Field (9, ty)));
+      ]
+  in
+  let lpm = Expr_ir.Const (Value.Str "10.0.0.0/8 7018\n11.0.0.0/8 701\n") in
+  let rec expr ty depth =
+    if depth = 0 then leaf ty
+    else
+      let sub ty = expr ty (depth - 1) in
+      let binop ops aty bty rty =
+        map3 (fun op a b -> Expr_ir.Binop (op, a, b, rty)) (oneofl ops) (sub aty) (sub bty)
+      in
+      let arith = Ast.[ Add; Sub; Mul; Div; Mod; Band; Bor; Shl; Shr ] in
+      let cmp = Ast.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+      match ty with
+      | Ty.Int ->
+          frequency
+            [
+              (2, leaf ty);
+              (4, binop arith Ty.Int Ty.Int Ty.Int);
+              (1, binop arith Ty.Ip Ty.Int Ty.Int);
+              (1, map (fun a -> Expr_ir.Unop (Ast.Neg, a)) (sub Ty.Int));
+              (1, map (fun a -> Expr_ir.Call (diff_funcs "getlpmid", [ a; lpm ])) (sub Ty.Ip));
+            ]
+      | Ty.Float ->
+          frequency
+            [
+              (2, leaf ty);
+              (2, binop Ast.[ Add; Sub; Mul; Div ] Ty.Float Ty.Float Ty.Float);
+              (1, binop Ast.[ Add; Sub; Mul; Div ] Ty.Float Ty.Int Ty.Float);
+              (1, map (fun a -> Expr_ir.Unop (Ast.Neg, a)) (sub Ty.Float));
+              (* fdiv by a zero divisor is Null *)
+              (2, map2 (fun a b -> Expr_ir.Call (diff_funcs "fdiv", [ a; b ])) (sub Ty.Float) (sub Ty.Int));
+            ]
+      | Ty.Bool ->
+          frequency
+            [
+              (2, leaf ty);
+              (2, binop cmp Ty.Int Ty.Int Ty.Bool);
+              (1, binop cmp Ty.Ip Ty.Ip Ty.Bool);
+              (1, binop cmp Ty.Ip Ty.Int Ty.Bool);
+              (1, binop cmp Ty.Float Ty.Int Ty.Bool);
+              (1, binop cmp Ty.Str Ty.Str Ty.Bool);
+              (2, binop Ast.[ And; Or ] Ty.Bool Ty.Bool Ty.Bool);
+              (1, map (fun a -> Expr_ir.Unop (Ast.Not, a)) (sub Ty.Bool));
+            ]
+      | _ -> leaf ty
+  in
+  sized_size (int_range 0 4) (fun depth ->
+      oneofl [ Ty.Int; Ty.Float; Ty.Bool; Ty.Ip; Ty.Str ] >>= fun ty -> expr ty depth)
+
+let gen_row =
+  let open QCheck.Gen in
+  let int_v = oneof [ int_range (-3) 3; int ] in
+  map
+    (fun (a, ip, f, (s, b, z)) ->
+      [| Value.Int a; Value.Ip ip; Value.Float f; Value.Str s; Value.Bool b; Value.Int z |])
+    (quad int_v
+       (oneofl [ 0x0a010009; 0x0b000009; 0x0c000009 ])
+       (oneofl [ 0.0; 0.5; -3.0; 7.25 ])
+       (triple (oneofl [ "a"; "b"; "" ]) bool (oneofl [ 0; 1; 2 ])))
+
+(* Three settings of $p in turn, evaluated by closures compiled once:
+   each set, unset or changed relative to the last. *)
+let gen_param_steps =
+  QCheck.Gen.(
+    list_repeat 3
+      (opt (oneofl [ Value.Int 0; Value.Int 3; Value.Ip 0x0a000001; Value.Float 2.5; Value.Str "a"; Value.Bool true; Value.Null ])))
+
+let constructor = function
+  | Value.Null -> 0
+  | Value.Bool _ -> 1
+  | Value.Int _ -> 2
+  | Value.Float _ -> 3
+  | Value.Str _ -> 4
+  | Value.Ip _ -> 5
+  | Value.Sketch _ -> 6
+
+let codegen_matches_reference =
+  qtest ~count:2000 "compiled closures = option-returning reference"
+    (QCheck.make
+       ~print:(fun (e, row, _) ->
+         Printf.sprintf "%s over [%s]" (Expr_ir.to_string e)
+           (String.concat "; " (Array.to_list (Array.map Value.to_string row))))
+       QCheck.Gen.(triple gen_typed_expr gen_row gen_param_steps))
+    (fun (e, row, steps) ->
+      let params = Hashtbl.create 1 in
+      match (Codegen.compile_expr ~params e, Reference.compile_expr ~params e) with
+      | Error a, Error b -> a = b
+      | Ok f, Ok g ->
+          List.for_all
+            (fun step ->
+              (match step with Some v -> Hashtbl.replace params "p" v | None -> Hashtbl.remove params "p");
+              match ((try Some (f row) with Value.No_value -> None), g row) with
+              | None, None -> true
+              | Some a, Some b ->
+                  (constructor a = constructor b && Value.compare a b = 0)
+                  || QCheck.Test.fail_reportf "%s vs reference %s" (Value.to_string a) (Value.to_string b)
+              | Some a, None -> QCheck.Test.fail_reportf "%s where the reference has no value" (Value.to_string a)
+              | None, Some b -> QCheck.Test.fail_reportf "no value where the reference has %s" (Value.to_string b))
+            steps
+      | Ok _, Error e | Error e, Ok _ -> QCheck.Test.fail_reportf "only one side compiled: %s" e)
 
 let test_codegen_bad_handle_reported_at_install () =
   let catalog = fresh_catalog () in
@@ -765,6 +1041,7 @@ let () =
           Alcotest.test_case "division by zero" `Quick test_codegen_division_by_zero_discards;
           Alcotest.test_case "short circuit" `Quick test_codegen_short_circuit;
           Alcotest.test_case "bad handle at install" `Quick test_codegen_bad_handle_reported_at_install;
+          codegen_matches_reference;
         ] );
       ( "emitter",
         [

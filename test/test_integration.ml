@@ -710,6 +710,73 @@ let test_epoch_closes_on_lfta_bound () =
   check Alcotest.int "epoch 1 closes with epoch 2's first packet" (round_of_packet 2.3)
     (List.assoc "1,3" rows)
 
+(* The direct-mapped LFTA table's behaviour, pinned: which groups
+   collide is fixed by the slot hash, and what a collision emits by the
+   flush order, so any drift in either moves these exact counts. The
+   traffic is the benchmark's flow-local shape; execution knobs are
+   fixed so every CI pass runs the same unsharded, unbatched plan. *)
+let test_lfta_eviction_pinned () =
+  let packets =
+    let gen =
+      Gigascope_traffic.Gen.create
+        {
+          Gigascope_traffic.Gen.default with
+          seed = 5;
+          duration = 1000.0;
+          rate_mbps = 150.0;
+          n_flows = 2048;
+        }
+    in
+    List.init 20_000 (fun _ -> Option.get (Gigascope_traffic.Gen.next gen))
+  in
+  let counts bits =
+    let engine = E.create ~shards:1 () in
+    E.add_packet_list_interface engine ~name:"eth0" packets;
+    let program =
+      Printf.sprintf
+        {|
+        DEFINE { query_name e2_subnets; lfta_bits %d; }
+        SELECT tb, truncate_ip(srcip, 16) as subnet, count(*) as cnt
+        FROM eth0.tcp
+        WHERE ipversion = 4
+        GROUP BY time/1 as tb, truncate_ip(srcip, 16) as subnet
+
+        DEFINE { query_name e2_flows; lfta_bits %d; }
+        SELECT tb, srcip, destip, srcport, destport, count(*) as pkts, sum(len) as bytes
+        FROM eth0.tcp
+        WHERE ipversion = 4
+        GROUP BY time/1 as tb, srcip, destip, srcport, destport
+        |}
+        bits bits
+    in
+    let insts = install engine program in
+    (match E.run engine ~parallel:1 ~batch:1 ~shards:1 () with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e);
+    List.concat_map
+      (fun inst ->
+        List.map
+          (fun (_, agg) ->
+            ( inst.Gsql.Codegen.inst_name,
+              Rts.Lfta_aggregate.evictions agg,
+              Rts.Lfta_aggregate.emitted agg ))
+          inst.Gsql.Codegen.lfta_aggs)
+      insts
+  in
+  let show (q, ev, em) = Printf.sprintf "%s evictions=%d emitted=%d" q ev em in
+  List.iter
+    (fun (bits, expected) ->
+      check
+        Alcotest.(list string)
+        (Printf.sprintf "lfta_bits %d" bits)
+        (List.map show expected)
+        (List.map show (counts bits)))
+    [
+      (4, [ ("e2_subnets", 17095, 17111); ("e2_flows", 16870, 16886) ]);
+      (8, [ ("e2_subnets", 11831, 12087); ("e2_flows", 11484, 11740) ]);
+      (12, [ ("e2_subnets", 1952, 3452); ("e2_flows", 2132, 3700) ]);
+    ]
+
 let test_stats_report () =
   let engine = E.create () in
   E.add_packet_list_interface engine ~name:"eth0"
@@ -775,6 +842,7 @@ let () =
           Alcotest.test_case "flush mid-stream" `Quick test_flush_mid_stream;
           Alcotest.test_case "round drains downstream" `Quick test_round_drains_downstream;
           Alcotest.test_case "epoch closes on LFTA bound" `Quick test_epoch_closes_on_lfta_bound;
+          Alcotest.test_case "LFTA evictions pinned" `Quick test_lfta_eviction_pinned;
           Alcotest.test_case "stats report" `Quick test_stats_report;
           Alcotest.test_case "three-way merge" `Quick test_three_way_merge;
           Alcotest.test_case "merge over protocols" `Quick test_merge_directly_over_protocols;

@@ -50,7 +50,20 @@ let test_value_arrays () =
   let a = [| vint 1; Value.Str "x" |] and b = [| vint 1; Value.Str "x" |] in
   check Alcotest.bool "array equal" true (Value.equal_array a b);
   check Alcotest.bool "array hash equal" true (Value.hash_array a = Value.hash_array b);
-  check Alcotest.bool "length mismatch" false (Value.equal_array a [| vint 1 |])
+  check Alcotest.bool "length mismatch" false (Value.equal_array a [| vint 1 |]);
+  (* The key hash picks LFTA slots and HFTA group buckets; pin its values
+     so a rewrite cannot move groups between slots unnoticed. *)
+  check
+    Alcotest.(list int)
+    "hash_array values"
+    [ 0; 867482208226; 24039590879032; 899068723058405 ]
+    (List.map Value.hash_array
+       [
+         [||];
+         [| vint 1; Value.Ip 0x0a000001; Value.Null |];
+         [| Value.Str "x"; Value.Float 1.5; Value.Bool true; vint (-7) |];
+         [| vint 1_000_000; Value.Ip 0xc0a80000; vint 80; vint 443; vint 6 |];
+       ])
 
 (* ----------------------------- Order_prop ------------------------------ *)
 
@@ -173,8 +186,8 @@ let agg_config ?(band = 0.0) ?having () =
     Rts.Aggregate.pred = None;
     keys =
       [|
-        (fun t -> match t.(0) with Value.Int ts -> Some (vint (ts / 10)) | _ -> None);
-        (fun t -> Some t.(1));
+        (fun t -> match t.(0) with Value.Int ts -> vint (ts / 10) | _ -> raise Value.No_value);
+        (fun t -> t.(1));
       |];
     epoch_key = Some 0;
     direction = Order_prop.Asc;
@@ -182,7 +195,7 @@ let agg_config ?(band = 0.0) ?having () =
     aggs =
       [|
         { Agg_fn.kind = Agg_fn.Count; arg = None };
-        { Agg_fn.kind = Agg_fn.Sum; arg = Some (fun t -> Some t.(2)) };
+        { Agg_fn.kind = Agg_fn.Sum; arg = Some (fun t -> t.(2)) };
       |];
     assemble = (fun ~keys ~aggs -> Array.append keys aggs);
     having;
@@ -293,7 +306,7 @@ let test_agg_banded_keeps_groups_open () =
 let test_agg_partial_key_discards () =
   let cfg = agg_config () in
   let cfg =
-    { cfg with Rts.Aggregate.keys = [| (fun _ -> None); (fun t -> Some t.(1)) |];
+    { cfg with Rts.Aggregate.keys = [| (fun _ -> raise Value.No_value); (fun t -> t.(1)) |];
                epoch_key = None; epoch_out = None; punct_in = None }
   in
   let agg = Rts.Aggregate.make cfg in
@@ -339,11 +352,12 @@ let two_level_equivalence =
       let items = List.map (fun r -> Item.Tuple r) rows @ [Item.Eof] in
       let keys =
         [|
-          (fun (t : Value.t array) -> match t.(0) with Value.Int ts -> Some (vint (ts / 10)) | _ -> None);
-          (fun (t : Value.t array) -> Some t.(1));
+          (fun (t : Value.t array) ->
+            match t.(0) with Value.Int ts -> vint (ts / 10) | _ -> raise Value.No_value);
+          (fun (t : Value.t array) -> t.(1));
         |]
       in
-      let arg = Some (fun (t : Value.t array) -> Some t.(2)) in
+      let arg = Some (fun (t : Value.t array) -> t.(2)) in
       let aggs =
         [|
           { Agg_fn.kind = Agg_fn.Count; arg = None };
@@ -390,16 +404,16 @@ let two_level_equivalence =
         Rts.Aggregate.make
           {
             Rts.Aggregate.pred = None;
-            keys = [| (fun t -> Some t.(0)); (fun t -> Some t.(1)) |];
+            keys = [| (fun t -> t.(0)); (fun t -> t.(1)) |];
             epoch_key = Some 0;
             direction = Order_prop.Asc;
             band = 0.0;
             aggs =
               [|
-                { Agg_fn.kind = Agg_fn.Sum; arg = Some (fun t -> Some t.(2)) };
-                { Agg_fn.kind = Agg_fn.Sum; arg = Some (fun t -> Some t.(3)) };
-                { Agg_fn.kind = Agg_fn.Min; arg = Some (fun t -> Some t.(4)) };
-                { Agg_fn.kind = Agg_fn.Max; arg = Some (fun t -> Some t.(5)) };
+                { Agg_fn.kind = Agg_fn.Sum; arg = Some (fun t -> t.(2)) };
+                { Agg_fn.kind = Agg_fn.Sum; arg = Some (fun t -> t.(3)) };
+                { Agg_fn.kind = Agg_fn.Min; arg = Some (fun t -> t.(4)) };
+                { Agg_fn.kind = Agg_fn.Max; arg = Some (fun t -> t.(5)) };
               |];
             assemble = (fun ~keys ~aggs -> Array.append keys aggs);
             having = None;
@@ -418,7 +432,7 @@ let test_lfta_eviction_counting () =
       {
         Rts.Lfta_aggregate.table_bits = 0;
         pred = None;
-        keys = [| (fun t -> Some t.(0)) |];
+        keys = [| (fun t -> t.(0)) |];
         epoch_key = None;
         direction = Order_prop.Asc;
         band = 0.0;
@@ -443,7 +457,7 @@ let test_lfta_epoch_bound () =
       {
         Rts.Lfta_aggregate.table_bits = 4;
         pred = None;
-        keys = [| (fun t -> Some t.(0)) |];
+        keys = [| (fun t -> t.(0)) |];
         epoch_key = Some 0;
         direction;
         band;
@@ -489,6 +503,153 @@ let test_lfta_epoch_bound () =
        (List.filter
           (function Item.Punct _ -> true | _ -> false)
           (run_op (Rts.Lfta_aggregate.op (lfta ~direction:Order_prop.Asc ~band:0.0)) (feed [ 3; 3 ]))))
+
+(* ----------------------- LFTA table: flat columns ----------------------- *)
+
+(* Count and sum of t.(1), grouped by the given keys (default: t.(0)). *)
+let lfta_count_sum ?(bits = 0) ?(keys = [| (fun (t : Value.t array) -> t.(0)) |]) () =
+  Rts.Lfta_aggregate.make
+    {
+      Rts.Lfta_aggregate.table_bits = bits;
+      pred = None;
+      keys;
+      epoch_key = None;
+      direction = Order_prop.Asc;
+      band = 0.0;
+      aggs =
+        [|
+          { Agg_fn.kind = Agg_fn.Count; arg = None };
+          { Agg_fn.kind = Agg_fn.Sum; arg = Some (fun t -> t.(1)) };
+        |];
+      assemble = (fun ~keys ~aggs -> Array.append keys aggs);
+      punct_in = None;
+      epoch_out = None;
+    }
+
+(* A row as text, each value tagged with its constructor. *)
+let show_row row =
+  String.concat ","
+    (Array.to_list
+       (Array.map
+          (fun v ->
+            let ctor =
+              match v with
+              | Value.Null -> "null"
+              | Value.Bool _ -> "bool"
+              | Value.Int _ -> "int"
+              | Value.Float _ -> "float"
+              | Value.Str _ -> "str"
+              | Value.Ip _ -> "ip"
+              | Value.Sketch _ -> "sketch"
+            in
+            ctor ^ ":" ^ Value.to_string v)
+          row))
+
+let check_rows msg expected items =
+  check Alcotest.(list string) msg expected (List.map show_row (tuples items))
+
+let test_lfta_int_ip_distinct () =
+  (* one slot, so every tuple meets the previous group's key *)
+  let lfta = lfta_count_sum () in
+  let rows = [ [| vint 5; vint 1 |]; [| Value.Ip 5; vint 1 |]; [| vint 5; vint 1 |] ] in
+  let out = run_op (Rts.Lfta_aggregate.op lfta) (List.map (fun r -> Item.Tuple r) rows @ [ Item.Eof ]) in
+  check_rows "Int 5 and Ip 5 are two groups"
+    [ "int:5,int:1,int:1"; "ip:0.0.0.5,int:1,int:1"; "int:5,int:1,int:1" ]
+    out;
+  check Alcotest.int "each key change evicts" 2 (Rts.Lfta_aggregate.evictions lfta)
+
+(* The table the flat columns replaced: one boxed key array per slot,
+   matched with [Value.equal_array]. Same slot index, same flush order. *)
+let reference_lfta ~bits rows =
+  let slots = Array.make (1 lsl bits) None in
+  let out = ref [] in
+  let emit (key, accs) = out := Array.append key (Array.map Agg_fn.final accs) :: !out in
+  List.iter
+    (fun (row : Value.t array) ->
+      let key = [| row.(0); row.(2) |] in
+      let idx = Value.hash_array key land ((1 lsl bits) - 1) in
+      let accs =
+        match slots.(idx) with
+        | Some (k, accs) when Value.equal_array k key -> accs
+        | prev ->
+            Option.iter emit prev;
+            let accs = [| Agg_fn.init Agg_fn.Count; Agg_fn.init Agg_fn.Sum |] in
+            slots.(idx) <- Some (key, accs);
+            accs
+      in
+      Agg_fn.step accs.(0) Value.Null;
+      Agg_fn.step accs.(1) row.(1))
+    rows;
+  Array.iter (Option.iter emit) slots;
+  List.rev_map show_row !out
+
+let lfta_groups_as_value_equal =
+  let key_pool =
+    [|
+      Value.Null; vint 0; vint 1; vint 5; Value.Ip 5; Value.Float 1.0; Value.Float 5.0;
+      Value.Float 0.0; Value.Float (-0.0); Value.Float Float.nan; Value.Str "a"; Value.Str "b";
+      Value.Bool true;
+    |]
+  in
+  let arg_pool = [| Value.Null; vint 3; vint (-4); Value.Float 0.5 |] in
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 0 3)
+        (list_size (int_range 0 60)
+           (triple (oneofa key_pool) (oneofa arg_pool) (oneofa [| vint 7; Value.Null; Value.Str "a" |]))))
+  in
+  qtest ~count:300 "keys group as Value.equal does"
+    (QCheck.make
+       ~print:(fun (bits, rows) ->
+         Printf.sprintf "bits %d: %s" bits
+           (String.concat " " (List.map (fun (a, b, c) -> show_row [| a; b; c |]) rows)))
+       gen)
+    (fun (bits, rows) ->
+      let rows = List.map (fun (k, arg, k2) -> [| k; arg; k2 |]) rows in
+      let lfta = lfta_count_sum ~bits ~keys:[| (fun t -> t.(0)); (fun t -> t.(2)) |] () in
+      let got =
+        List.map show_row
+          (tuples
+             (run_op (Rts.Lfta_aggregate.op lfta)
+                (List.map (fun r -> Item.Tuple r) rows @ [ Item.Eof ])))
+      in
+      got = reference_lfta ~bits rows)
+
+let test_lfta_reused_slot_starts_from_zero () =
+  let lfta = lfta_count_sum () in
+  let op = Rts.Lfta_aggregate.op lfta in
+  let row k arg = Item.Tuple [| vint k; arg |] in
+  (* 1 evicts nothing; 2 evicts 1; Flush empties the slot; 2 reuses it
+     after the flush; 3 evicts 2 *)
+  let out =
+    run_op op
+      [
+        row 1 (vint 5); row 1 (vint 7); row 2 Value.Null; Item.Flush; row 2 Value.Null;
+        row 2 (vint 3); row 3 Value.Null; Item.Eof;
+      ]
+  in
+  check_rows "accumulators restart in a reused slot"
+    [ "int:1,int:2,int:12"; "int:2,int:1,null:null"; "int:2,int:2,int:3"; "int:3,int:1,null:null" ]
+    out
+
+let test_lfta_columns_allocated_lazily () =
+  let lfta = lfta_count_sum ~bits:16 ~keys:[| (fun t -> t.(0)); (fun t -> t.(1)) |] () in
+  let words () = Obj.reachable_words (Obj.repr lfta) in
+  check Alcotest.bool "no column before the first tuple" true (words () < 4096);
+  ignore (run_op (Rts.Lfta_aggregate.op lfta) [ Item.Tuple [| vint 1; vint 2 |] ]);
+  check Alcotest.bool "columns at the first tuple" true (words () > 2 lsl 16)
+
+let test_lfta_keyless_flushes () =
+  let lfta = lfta_count_sum ~bits:4 ~keys:[||] () in
+  let op = Rts.Lfta_aggregate.op lfta in
+  let out = run_op op [ Item.Tuple [| vint 0; vint 2 |]; Item.Tuple [| vint 0; vint 3 |]; Item.Flush ] in
+  check_rows "flush emits the single group" [ "int:2,int:5" ] out;
+  check Alcotest.bool "flush forwarded" true (List.rev out |> List.hd = Item.Flush);
+  let out = run_op op [ Item.Tuple [| vint 0; Value.Null |]; Item.Eof ] in
+  check_rows "eof emits the regrown group" [ "int:1,null:null" ] out;
+  check Alcotest.bool "eof forwarded" true (List.rev out |> List.hd = Item.Eof);
+  check Alcotest.int "no evictions" 0 (Rts.Lfta_aggregate.evictions lfta);
+  check Alcotest.int "two partials" 2 (Rts.Lfta_aggregate.emitted lfta)
 
 (* ------------------------------- Merge --------------------------------- *)
 
@@ -771,8 +932,8 @@ let test_agg_descending_stream () =
       Rts.Aggregate.direction = Order_prop.Desc;
       keys =
         [|
-          (fun t -> match t.(0) with Value.Int ts -> Some (vint (ts / 10)) | _ -> None);
-          (fun t -> Some t.(1));
+          (fun t -> match t.(0) with Value.Int ts -> vint (ts / 10) | _ -> raise Value.No_value);
+          (fun t -> t.(1));
         |];
       punct_in = None;
     }
@@ -827,7 +988,7 @@ let md_config ?(epoch_field = 0) () =
     aggs =
       [|
         { Agg_fn.kind = Agg_fn.Count; arg = None };
-        { Agg_fn.kind = Agg_fn.Sum; arg = Some (fun s -> Some s.(2)) };
+        { Agg_fn.kind = Agg_fn.Sum; arg = Some (fun s -> s.(2)) };
       |];
     epoch_field;
     direction = Order_prop.Asc;
@@ -1216,6 +1377,11 @@ let () =
           two_level_equivalence;
           Alcotest.test_case "eviction counting" `Quick test_lfta_eviction_counting;
           Alcotest.test_case "epoch advance emits its bound" `Quick test_lfta_epoch_bound;
+          Alcotest.test_case "Int and Ip keys differ" `Quick test_lfta_int_ip_distinct;
+          lfta_groups_as_value_equal;
+          Alcotest.test_case "reused slot starts from zero" `Quick test_lfta_reused_slot_starts_from_zero;
+          Alcotest.test_case "columns allocated lazily" `Quick test_lfta_columns_allocated_lazily;
+          Alcotest.test_case "keyless flushes" `Quick test_lfta_keyless_flushes;
         ] );
       ( "merge",
         [

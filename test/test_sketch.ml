@@ -341,12 +341,12 @@ let test_agg_split_merge () =
     (fun (name, sk) ->
       let final_kind = Agg.Sketch { sk; partial = false } in
       let whole = Agg.init final_kind in
-      List.iter (fun v -> Agg.step whole (Some v)) vs;
+      List.iter (fun v -> Agg.step whole v) vs;
       let expected = Agg.final whole in
       List.iter
         (fun cut ->
           let a = Agg.init final_kind and b = Agg.init final_kind in
-          List.iteri (fun i v -> Agg.step (if i < cut then a else b) (Some v)) vs;
+          List.iteri (fun i v -> Agg.step (if i < cut then a else b) v) vs;
           Agg.merge_partial a b;
           check value_t (Printf.sprintf "%s split@%d" name cut) expected (Agg.final a))
         [ 0; 1; 133; 399; 400 ];
@@ -354,15 +354,14 @@ let test_agg_split_merge () =
          states; an upper level steps those states in and finalizes *)
       let partial_kind = Agg.Sketch { sk; partial = true } in
       let pa = Agg.init partial_kind and pb = Agg.init partial_kind in
-      List.iteri (fun i v -> Agg.step (if i < 200 then pa else pb) (Some v)) vs;
+      List.iteri (fun i v -> Agg.step (if i < 200 then pa else pb) v) vs;
       let top = Agg.init final_kind in
-      Agg.step top (Some (Agg.final pa));
-      Agg.step top (Some (Agg.final pb));
+      Agg.step top (Agg.final pa);
+      Agg.step top (Agg.final pb);
       check value_t (name ^ " partial states relay") expected (Agg.final top);
       (* nulls are skipped, as for every other aggregate *)
       let n = Agg.init final_kind in
-      Agg.step n (Some Value.Null);
-      Agg.step n None;
+      Agg.step n Value.Null;
       check value_t (name ^ " null-only = empty")
         (Agg.final (Agg.init final_kind))
         (Agg.final n))
