@@ -438,10 +438,7 @@ let e3_select_aggregate ~n ~domains ~batch =
   let out = Result.get_ok (Rts.Manager.subscribe mgr "agg") in
   Gc.compact ();
   let t0 = Unix.gettimeofday () in
-  (match
-     if domains > 1 then Rts.Scheduler.run_parallel ~domains ~batch mgr
-     else Rts.Scheduler.run ~batch mgr
-   with
+  (match Rts.Scheduler.run ~domains ~batch mgr with
   | Ok _ -> ()
   | Error e -> failwith ("e3 select+aggregate: " ^ e));
   let dt = Unix.gettimeofday () -. t0 in

@@ -197,12 +197,12 @@ val run :
     {!trace_report} gives exact per-operator costs.
 
     [parallel] (default from [GIGASCOPE_PARALLEL], else 1) > 1 runs the
-    network on that many OCaml domains via
-    {!Rts.Scheduler.run_parallel} — HFTAs on worker domains, sources and
-    LFTAs on the caller; [placement] pins named nodes to domains. Output
-    is byte-identical to the single-threaded run. [on_round] forces
-    single-threaded execution (the hook mutates live operator state,
-    which must not race worker domains).
+    network on that many OCaml domains ({!Rts.Scheduler.run}'s
+    [domains]) — HFTAs on worker domains, sources and LFTAs on the
+    caller; [placement] pins named nodes to domains. Output is
+    byte-identical to the one-domain run. [on_round] forces one domain
+    (the hook mutates live operator state, which must not race worker
+    domains).
 
     [batch] (default from [GIGASCOPE_BATCH], else 1) vectorizes the data
     plane: tuples move through channels, operators and the scheduler in

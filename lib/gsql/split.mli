@@ -43,8 +43,9 @@ type phys_node = {
   ptable_bits : int;
       (** direct-mapped table size for an LFTA aggregation body *)
   pplace : int option;
-      (** pinned execution domain for {!Gigascope_rts.Scheduler.run_parallel};
-          HFTAs only (LFTAs stay on the packet-path domain) *)
+      (** pinned execution domain for a multi-domain
+          {!Gigascope_rts.Scheduler.run}; HFTAs only (LFTAs stay on the
+          packet-path domain) *)
   pshard : shard_tag option;
       (** set by {!shard} on the replicas of a sharded chain *)
 }

@@ -1,24 +1,39 @@
 module Ring = Gigascope_util.Ring
 module Metrics = Gigascope_obs.Metrics
+module Clock = Gigascope_obs.Clock
 
-(* A channel starts Local (plain bounded ring, single-domain cooperative
-   scheduling). run_parallel promotes edges that cross a domain boundary
-   to Cross before any domain spawns; Node.step_inputs and the operators
-   never notice the difference.
+(* Every edge is one bounded ring of batches with one set of counters.
+   An edge starts local: the ring drops on overflow and nothing locks.
+   Before a multi-domain run spawns its workers, the scheduler switches
+   each edge whose endpoints sit on different domains into blocking mode
+   ({!set_blocking}); Node.step_inputs and the operators never notice.
 
-   The transport unit is a Batch: one ring slot (or one lock acquire on
-   a promoted channel) moves a whole run of tuples. The item-level
+   The transport unit is a Batch: one ring slot (and, in blocking mode,
+   one lock acquire) moves a whole run of tuples. The item-level
    push/pop/peek API is kept as singleton-batch wrappers, with [cur]
    holding the consumer-side remainder of a partially consumed batch —
-   only the consumer touches it, so it is as single-threaded as the ring
-   itself. *)
-type impl = Local of Batch.t Ring.t | Cross of Xchannel.t
+   only the consumer touches it. [n_items] counts what is buffered,
+   ring and remainder together, so depth and high-water are in items on
+   every edge. *)
+
+(* What blocking mode adds, allocated only by {!set_blocking}. *)
+type blocking = {
+  lock : Mutex.t;
+  not_full : Condition.t;
+  mutable limit : int;  (* items; a push waits while this many are buffered *)
+  mutable closed : bool;
+  mutable on_push : unit -> unit;
+  blocked_ns : Metrics.Counter.t;
+}
 
 type t = {
   name : string;
-  capacity : int;
-  mutable impl : impl;
+  capacity : int;  (* ring slots *)
+  ring : Batch.t Ring.t;
   mutable cur : Item.t list;  (* consumer-side remainder of a popped batch *)
+  mutable n_items : int;  (* buffered items: ring plus remainder *)
+  mutable hw : int;
+  mutable blocking : blocking option;
   tuples_in : Metrics.Counter.t;
   dropped : Metrics.Counter.t;
   occupancy : Metrics.Histogram.t;  (* items per pushed batch *)
@@ -28,8 +43,11 @@ let create ?(capacity = 4096) ~name () =
   {
     name;
     capacity;
-    impl = Local (Ring.create ~capacity);
+    ring = Ring.create ~capacity;
     cur = [];
+    n_items = 0;
+    hw = 0;
+    blocking = None;
     tuples_in = Metrics.Counter.make ();
     dropped = Metrics.Counter.make ();
     occupancy = Metrics.Histogram.make ();
@@ -38,149 +56,193 @@ let create ?(capacity = 4096) ~name () =
 let name t = t.name
 let capacity t = t.capacity
 
-let push_batch t batch =
+(* The one place a batch enters the ring; the caller made room. *)
+let enqueue t batch =
+  ignore (Ring.push t.ring batch);
+  let size = Batch.items batch in
+  t.n_items <- t.n_items + size;
+  if t.n_items > t.hw then t.hw <- t.n_items;
   let nt = Batch.n_tuples batch in
-  match t.impl with
-  | Local ring ->
-      if Ring.push ring batch then begin
-        if nt > 0 then Metrics.Counter.add t.tuples_in nt;
-        Metrics.Histogram.observe t.occupancy (float_of_int (Batch.items batch));
+  if nt > 0 then Metrics.Counter.add t.tuples_in nt;
+  Metrics.Histogram.observe t.occupancy (float_of_int size)
+
+(* A refused batch loses every tuple it carried (not one drop per batch:
+   the paper's headline metric must not silently improve under
+   batching), plus a control item other than Eof/Error. *)
+let drop t batch =
+  let lost =
+    Batch.n_tuples batch
+    + (match Batch.ctrl batch with
+      | Some (Item.Punct _ | Item.Flush | Item.Gap _) -> 1
+      | Some (Item.Eof | Item.Error _) | Some (Item.Tuple _) | None -> 0)
+  in
+  if lost > 0 then Metrics.Counter.add t.dropped lost
+
+let push_local t batch =
+  if not (Ring.is_full t.ring) then begin
+    enqueue t batch;
+    true
+  end
+  else begin
+    drop t batch;
+    match Batch.ctrl batch with
+    | Some ((Item.Eof | Item.Error _) as ctrl) ->
+        (* An Eof must still get through or shutdown wedges: force a
+           control-only batch in, evicting the oldest buffered batch
+           exactly as the item-at-a-time path evicted a buffered item. *)
+        (match Ring.pop t.ring with
+        | Some old -> t.n_items <- t.n_items - Batch.items old
+        | None -> ());
+        enqueue t (Batch.of_item ctrl);
         true
-      end
-      else begin
-        (* Full ring: the whole batch is rejected and every tuple it
-           carried counts as a drop (not one drop per batch — the
-           paper's headline metric must not silently improve under
-           batching). A non-Eof control item counts too, as before. An
-           Eof must still get through or shutdown wedges: force a
-           control-only Eof batch in, evicting a buffered batch exactly
-           as the item-at-a-time path evicted a buffered item. *)
-        match Batch.ctrl batch with
-        | Some ((Item.Eof | Item.Error _) as ctrl) ->
-            if nt > 0 then Metrics.Counter.add t.dropped nt;
-            Ring.push_force ring (Batch.of_item ctrl);
-            Metrics.Histogram.observe t.occupancy 1.0;
-            true
-        | Some (Item.Punct _ | Item.Flush | Item.Gap _) ->
-            Metrics.Counter.add t.dropped (nt + 1);
-            false
-        | Some (Item.Tuple _) | None ->
-            if nt > 0 then Metrics.Counter.add t.dropped nt;
-            false
-      end
-  | Cross xc ->
-      (* Blocking push: cross-domain edges apply backpressure instead of
-         dropping; a refusal means the channel was closed by an error
-         shutdown. The channel's own cells keep counting so [rts.chan.*]
-         and drop totals stay live after promotion. *)
-      let ok = Xchannel.push_batch xc batch in
-      if ok then begin
-        if nt > 0 then Metrics.Counter.add t.tuples_in nt;
-        Metrics.Histogram.observe t.occupancy (float_of_int (Batch.items batch))
-      end
-      else begin
-        let lost =
-          nt
-          + (match Batch.ctrl batch with
-            | Some (Item.Punct _ | Item.Flush | Item.Gap _) -> 1
-            | Some (Item.Eof | Item.Error _) | Some (Item.Tuple _) | None -> 0)
-        in
-        if lost > 0 then Metrics.Counter.add t.dropped lost
-      end;
-      ok
+    | Some (Item.Punct _ | Item.Flush | Item.Gap _ | Item.Tuple _) | None -> false
+  end
+
+let close t =
+  match t.blocking with
+  | None -> ()
+  | Some b ->
+      Mutex.lock b.lock;
+      b.closed <- true;
+      Condition.broadcast b.not_full;
+      Mutex.unlock b.lock;
+      b.on_push ()
+
+let full t b = t.n_items >= b.limit || Ring.is_full t.ring
+
+let push_blocking t b batch =
+  (* Chaos hooks, fired before the lock: an injected stall models a slow
+     consumer domain; an injected close reproduces the
+     close-while-producer-mid-push race. *)
+  Faults.stall_point ~chan:t.name;
+  Faults.xclose_point ~chan:t.name (fun () -> close t);
+  Mutex.lock b.lock;
+  (* Backpressure: wait until the consumer makes room, and account the
+     wait ([blocked_ns]) the way a local ring accounts drops. A batch is
+     admitted whole once any room exists, so depth can overshoot the
+     limit by one batch — waiting until a batch larger than the limit
+     fits exactly would deadlock. *)
+  if (not b.closed) && full t b then begin
+    let t0 = Clock.now_ns () in
+    while (not b.closed) && full t b do
+      Condition.wait b.not_full b.lock
+    done;
+    Metrics.Counter.add b.blocked_ns (int_of_float (Clock.now_ns () -. t0))
+  end;
+  (* A closed edge refuses everything; Eof there is the normal shutdown
+     overlap, so [drop] does not count it. *)
+  let accepted = not b.closed in
+  if accepted then enqueue t batch else drop t batch;
+  Mutex.unlock b.lock;
+  (* Notify outside the lock: the consumer's signal has its own mutex and
+     taking both at once invites lock-order cycles. *)
+  if accepted then b.on_push ();
+  accepted
+
+let push_batch t batch =
+  match t.blocking with None -> push_local t batch | Some b -> push_blocking t b batch
 
 let push t item = push_batch t (Batch.of_item item)
 
-let impl_pop_batch t =
-  match t.impl with Local ring -> Ring.pop ring | Cross xc -> Xchannel.pop_batch xc
+(* Consumer side. In blocking mode these run under the lock, and a pop
+   (or a peek that moves a batch out of the ring) wakes a waiting
+   producer. *)
 
-let pop_batch t =
+let take_batch t =
   match t.cur with
-  | [] -> impl_pop_batch t
+  | [] -> (
+      match Ring.pop t.ring with
+      | Some b as r ->
+          t.n_items <- t.n_items - Batch.items b;
+          r
+      | None -> None)
   | items ->
       t.cur <- [];
+      t.n_items <- t.n_items - List.length items;
       Some (Batch.of_items items)
 
-let rec pop t =
+let rec take_item t =
   match t.cur with
   | item :: rest ->
       t.cur <- rest;
+      t.n_items <- t.n_items - 1;
       Some item
   | [] -> (
-      match impl_pop_batch t with
+      match Ring.pop t.ring with
       | Some b ->
           t.cur <- Batch.to_items b;
-          pop t
+          take_item t
       | None -> None)
 
-let peek t =
+let rec peek_item t =
   match t.cur with
   | item :: _ -> Some item
   | [] -> (
-      match impl_pop_batch t with
-      | Some b -> (
+      match Ring.pop t.ring with
+      | Some b ->
           t.cur <- Batch.to_items b;
-          match t.cur with item :: _ -> Some item | [] -> None)
+          peek_item t
       | None -> None)
 
-let length t =
-  let buffered =
-    match t.impl with
-    | Local ring ->
-        let n = ref 0 in
-        Ring.iter (fun b -> n := !n + Batch.items b) ring;
-        !n
-    | Cross xc -> Xchannel.length xc
-  in
-  List.length t.cur + buffered
+let consume b f t =
+  Mutex.lock b.lock;
+  let r = f t in
+  if Option.is_some r then Condition.signal b.not_full;
+  Mutex.unlock b.lock;
+  r
 
-let is_empty t =
-  t.cur = []
-  && match t.impl with Local ring -> Ring.is_empty ring | Cross xc -> Xchannel.is_empty xc
+let pop_batch t = match t.blocking with None -> take_batch t | Some b -> consume b take_batch t
+let pop t = match t.blocking with None -> take_item t | Some b -> consume b take_item t
+let peek t = match t.blocking with None -> peek_item t | Some b -> consume b peek_item t
 
+(* Blocking mode reads under the lock: another domain is writing. *)
+let read t f =
+  match t.blocking with
+  | None -> f t
+  | Some b ->
+      Mutex.lock b.lock;
+      let v = f t in
+      Mutex.unlock b.lock;
+      v
+
+let length t = read t (fun t -> t.n_items)
+let is_empty t = length t = 0
+let high_water t = read t (fun t -> t.hw)
 let tuples_in t = Metrics.Counter.get t.tuples_in
 let drops t = Metrics.Counter.get t.dropped
 
-let high_water t =
-  match t.impl with Local ring -> Ring.high_water ring | Cross xc -> Xchannel.high_water xc
+let blocked_ns t =
+  match t.blocking with None -> 0 | Some b -> Metrics.Counter.get b.blocked_ns
 
-let is_cross t = match t.impl with Cross _ -> true | Local _ -> false
-
-let promote_cross ?capacity t =
-  match t.impl with
-  | Cross xc -> xc
-  | Local ring ->
-      (* Never smaller than what is already buffered: promotion runs on a
-         single domain, so a blocking push here would never be drained.
-         The bound is in items, so count through the batches (and any
-         partially consumed remainder). *)
-      let buffered = ref (List.length t.cur) in
-      Ring.iter (fun b -> buffered := !buffered + Batch.items b) ring;
-      let capacity =
-        max (match capacity with Some c -> max 1 c | None -> t.capacity) !buffered
-      in
-      let xc = Xchannel.create ~capacity ~name:t.name () in
-      (* Carry over anything buffered before the switch (promotion happens
-         before the run, so this is normally empty): first the consumed
-         batch's remainder, then the ring, oldest first. *)
-      List.iter (fun item -> ignore (Xchannel.push xc item)) t.cur;
-      t.cur <- [];
-      let rec drain () =
-        match Ring.pop ring with
-        | Some batch ->
-            ignore (Xchannel.push_batch xc batch);
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      t.impl <- Cross xc;
-      xc
-
-let cross t = match t.impl with Cross xc -> Some xc | Local _ -> None
+let set_blocking t ~limit ~on_push =
+  (* Never below what is already buffered: the switch runs on one domain
+     before any worker spawns, so a push waiting here could never be
+     drained. *)
+  let limit = max (max 1 limit) t.n_items in
+  match t.blocking with
+  | Some b ->
+      b.limit <- limit;
+      b.on_push <- on_push;
+      false
+  | None ->
+      t.blocking <-
+        Some
+          {
+            lock = Mutex.create ();
+            not_full = Condition.create ();
+            limit;
+            closed = false;
+            on_push;
+            blocked_ns = Metrics.Counter.make ();
+          };
+      true
 
 let register_metrics t reg ~prefix =
   Metrics.attach_counter reg (prefix ^ ".tuples_in") t.tuples_in;
   Metrics.attach_counter reg (prefix ^ ".drops") t.dropped;
+  (match t.blocking with
+  | Some b -> Metrics.attach_counter reg (prefix ^ ".blocked_ns") b.blocked_ns
+  | None -> ());
   Metrics.attach_gauge_fn reg (prefix ^ ".depth") (fun () -> float_of_int (length t));
   Metrics.attach_gauge_fn reg (prefix ^ ".high_water") (fun () -> float_of_int (high_water t));
   Metrics.attach_histogram reg (prefix ^ ".batch_items") t.occupancy

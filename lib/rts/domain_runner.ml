@@ -1,4 +1,3 @@
-module Metrics = Gigascope_obs.Metrics
 module Clock = Gigascope_obs.Clock
 
 (* ---------------- wakeup signals ---------------------------------------- *)
@@ -75,38 +74,33 @@ type shared = {
   stop : bool Atomic.t;
   error : string option Atomic.t;
   signals : signal array;  (* one per partition; index 0 = packet-path domain *)
-  mutable xchannels : Xchannel.t list;
+  cross : Channel.t list;  (* the blocking edges, closed on abort *)
   hb_mu : Mutex.t;
   mutable hb_pending : Node.t list;  (* source nodes awaiting a heartbeat *)
 }
 
-let make_shared ~partitions =
+let make_shared ~partitions ~cross =
   {
     stop = Atomic.make false;
     error = Atomic.make None;
     signals = Array.init partitions (fun _ -> make_signal ());
-    xchannels = [];
+    cross;
     hb_mu = Mutex.create ();
     hb_pending = [];
   }
 
-let add_xchannel shared xc = shared.xchannels <- xc :: shared.xchannels
 let signals shared = shared.signals
 
-let wake_all shared = Array.iter notify shared.signals
-
-(* Stop everything: set the flag, unblock producers stuck on full
-   channels, and wake every parked domain. Closing the channels is what
-   lets an error propagate out of a crashed domain — its peers would
-   otherwise block forever pushing into (or waiting on) its edges. *)
-let abort shared =
-  Atomic.set shared.stop true;
-  List.iter Xchannel.close shared.xchannels;
-  wake_all shared
-
+(* Record the first error, then stop everything: set the flag, unblock
+   producers stuck on full channels, and wake every parked domain.
+   Closing the channels is what lets an error propagate out of a crashed
+   domain — its peers would otherwise block forever pushing into (or
+   waiting on) its edges. *)
 let fail shared msg =
   ignore (Atomic.compare_and_set shared.error None (Some msg));
-  abort shared
+  Atomic.set shared.stop true;
+  List.iter Channel.close shared.cross;
+  Array.iter notify shared.signals
 
 let error shared = Atomic.get shared.error
 let stopped shared = Atomic.get shared.stop
@@ -189,6 +183,42 @@ let take_heartbeats shared =
   (* dedupe: a merge blocked on two silent inputs queues a source twice *)
   List.fold_left (fun acc n -> if List.memq n acc then acc else n :: acc) [] pending
 
+(* ---------------- stepping ---------------------------------------------- *)
+
+(* One pass over a domain's nodes, shared by domain 0 and the workers:
+   a source pulls a quantum, a query node consumes up to a quantum from
+   each input; [timed] records each step's service time. *)
+let pass ~quantum ~timed nodes =
+  List.fold_left
+    (fun moved node ->
+      let t0 = if timed then Clock.now_ns () else 0.0 in
+      let m =
+        match Node.kind node with
+        | Node.Source -> Node.step_source node ~quantum
+        | Node.Lfta | Node.Hfta -> Node.step_inputs node ~quantum
+      in
+      if timed then Node.record_service node (Clock.now_ns () -. t0);
+      m || moved)
+    false nodes
+
+(* A domain is done once every node it steps has emitted its Eof and
+   drained its inputs. A poisoned node announces Error+Eof (and so reads
+   as exhausted) while its upstream may still be producing. If a worker
+   exited the moment its drain caught up, that producer would block
+   forever pushing into a full blocking channel nobody pops — and a
+   producer blocked mid-push is not parked, so the wedge probe cannot
+   see it. So a poisoned node also waits for every upstream to be
+   exhausted. Non-poisoned nodes only emit Eof after consuming their
+   inputs' Eofs, so for them the extra condition already holds. *)
+let finished nodes =
+  List.for_all
+    (fun n ->
+      Node.exhausted n
+      && Array.for_all (fun (_, chan) -> Channel.is_empty chan) (Node.inputs n)
+      && ((not (Node.is_poisoned n))
+         || Array.for_all (fun ((up : Node.t), _) -> Node.exhausted up) (Node.inputs n)))
+    nodes
+
 (* ---------------- worker domain loop ------------------------------------ *)
 
 type t = {
@@ -201,54 +231,19 @@ type t = {
 
 let make ~id ~nodes ~quantum ~heartbeats ~sample = { id; nodes; quantum; heartbeats; sample }
 
-let inputs_empty node =
-  Array.for_all (fun (_, chan) -> Channel.is_empty chan) (Node.inputs node)
-
 let run_loop shared r =
   let my_signal = shared.signals.(r.id) in
   let poke0 () = notify shared.signals.(0) in
-  (* A poisoned node announces Error+Eof (and so reads as exhausted)
-     while its upstream may still be producing. If the worker exited the
-     moment its drain caught up, that producer would block forever
-     pushing into a full cross-channel nobody pops — and a producer
-     blocked mid-push is not parked, so the wedge probe cannot see it.
-     Keep the domain alive (draining, or parked until the next push
-     pokes it) until every upstream of a poisoned node is exhausted
-     too. Non-poisoned nodes only emit Eof after consuming their
-     inputs' Eofs, so for them the extra condition already holds. *)
-  let upstreams_exhausted n =
-    Array.for_all (fun ((up : Node.t), _) -> Node.exhausted up) (Node.inputs n)
-  in
-  let finished () =
-    List.for_all
-      (fun n ->
-        Node.exhausted n && inputs_empty n
-        && ((not (Node.is_poisoned n)) || upstreams_exhausted n))
-      r.nodes
-  in
   let iter = ref 0 in
   let continue = ref true in
   while !continue && not (Atomic.get shared.stop) do
     incr iter;
     let timed = (!iter - 1) mod r.sample = 0 in
-    let progress = ref false in
-    List.iter
-      (fun node ->
-        let made =
-          if timed then begin
-            let t0 = Clock.now_ns () in
-            let m = Node.step_inputs node ~quantum:r.quantum in
-            Node.record_service node (Clock.now_ns () -. t0);
-            m
-          end
-          else Node.step_inputs node ~quantum:r.quantum
-        in
-        if made then progress := true)
-      r.nodes;
-    (* Same policy as the single-threaded scheduler: consult blocked
-       inputs every iteration, not just when parked — an operator can
-       keep absorbing one input while starving on another (a merge over
-       skewed streams), and only the heartbeat bounds its buffer. *)
+    let progress = pass ~quantum:r.quantum ~timed r.nodes in
+    (* Same policy as domain 0: consult blocked inputs every iteration,
+       not just when parked — an operator can keep absorbing one input
+       while starving on another (a merge over skewed streams), and only
+       the heartbeat bounds its buffer. *)
     if r.heartbeats then
       List.iter
         (fun node ->
@@ -258,8 +253,8 @@ let run_loop shared r =
               request_heartbeat shared up
           | None -> ())
         r.nodes;
-    if not !progress then begin
-      if finished () then continue := false
+    if not progress then begin
+      if finished r.nodes then continue := false
       else
         (* Park until an input channel is pushed, a requested heartbeat's
            punctuation arrives, or the run aborts. Waiting only when every

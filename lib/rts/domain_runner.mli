@@ -1,15 +1,25 @@
 (** Per-domain execution of a partition of the query network.
 
-    The parallel scheduler ({!Scheduler.run_parallel}) keeps sources and
-    LFTAs on the calling domain (the packet path) and hands each worker
-    domain a list of HFTAs to step. Workers run the same cooperative
-    quantum loop as the single-threaded scheduler, but park on a condvar
-    signal when all their inputs are empty instead of spinning — pushes
-    into their cross-domain input channels wake them. *)
+    {!Scheduler.run} keeps sources and LFTAs on the calling domain (the
+    packet path) and hands each worker domain a list of HFTAs to step.
+    Every domain steps its nodes through the same {!pass}; a worker
+    parks on a condvar signal when nothing moves instead of spinning —
+    pushes into its blocking input channels wake it. A one-domain run
+    has no workers and only signal 0. *)
+
+val pass : quantum:int -> timed:bool -> Node.t list -> bool
+(** One pass over a domain's nodes in order: a source pulls up to
+    [quantum] items, a query node consumes up to [quantum] from each
+    input. With [timed], each step's duration lands in the node's
+    service-time histogram. True if any node moved an item. *)
+
+val finished : Node.t list -> bool
+(** Every node has emitted its Eof and drained its inputs (and, if
+    poisoned, every upstream is exhausted too, so a producer is never
+    left pushing into a channel nobody pops). *)
 
 type signal
 
-val make_signal : unit -> signal
 val notify : signal -> unit
 
 val wait : ?poke:(unit -> unit) -> signal -> unit
@@ -26,43 +36,37 @@ val mark_exited : signal -> unit
     from then on. Also used for partitions that never spawn. *)
 
 type shared
-(** State shared by all domains of one parallel run: stop flag, first
-    error, per-partition wakeup signals, the cross-domain channels (for
-    error shutdown), and the pending cross-domain heartbeat requests. *)
+(** State shared by all domains of one run: stop flag, first error,
+    per-partition wakeup signals, the blocking channels (for error
+    shutdown), and the pending cross-domain heartbeat requests. *)
 
-val make_shared : partitions:int -> shared
-val add_xchannel : shared -> Xchannel.t -> unit
+val make_shared : partitions:int -> cross:Channel.t list -> shared
+(** [cross] are the edges the run switches into blocking mode. *)
+
 val signals : shared -> signal array
 
-val abort : shared -> unit
-(** Stop all domains: raise the stop flag, close every cross-domain
-    channel (unblocking producers), wake every parked domain. *)
-
 val fail : shared -> string -> unit
-(** Record the first error, then {!abort}. *)
+(** Record the first error, then stop all domains: raise the stop flag,
+    close every blocking channel (unblocking producers), wake every
+    parked domain. *)
 
 val error : shared -> string option
 val stopped : shared -> bool
-val wake_all : shared -> unit
 
 val all_workers_exited : shared -> bool
 (** Every worker signal (index [>= 1]) is {!mark_exited}. *)
 
 val probe_wedged : shared -> bool
-(** Domain-0 termination detection: true only when the parallel run is
-    provably frozen — every worker parked or exited, no pending
-    cross-domain heartbeat request, no wakeup pending for domain 0, and
-    no {!notify} observed anywhere during the probe. The caller turns
-    this into the same wedge error the single-threaded scheduler
-    reports, instead of parking forever. *)
-
-val request_heartbeat : shared -> Node.t -> unit
-(** Worker-side: walk upstream from [node] to its sources (a pure read of
-    the frozen wiring) and queue them for domain 0, which owns source
-    state and fires the actual clock punctuation. *)
+(** Domain-0 termination detection: true only when the run is provably
+    frozen — every worker parked or exited, no pending cross-domain
+    heartbeat request, no wakeup pending for domain 0, and no {!notify}
+    observed anywhere during the probe. With no workers this is true
+    whenever domain 0 itself is idle. The caller turns it into the
+    wedge error instead of parking forever. *)
 
 val take_heartbeats : shared -> Node.t list
-(** Domain-0 side: drain and dedupe the queued heartbeat requests. *)
+(** Domain-0 side: drain and dedupe the heartbeat requests workers
+    queued for the sources upstream of their blocked inputs. *)
 
 type t
 
@@ -71,12 +75,9 @@ val make :
 (** [id] is the partition index ([>= 1]; 0 is the packet-path domain);
     [sample] is the service-time sampling period (1 = every iteration). *)
 
-val run_loop : shared -> t -> unit
-(** The worker loop, exposed for tests; normally entered via {!spawn}.
-    Steps every node a quantum per iteration; when nothing moves, either
-    exits (all nodes exhausted and drained), requests heartbeats for
-    blocked inputs, or parks on this partition's signal. *)
-
 val spawn : shared -> t -> unit Domain.t
-(** Run {!run_loop} on a fresh domain; an escaped exception becomes the
-    run's error ({!fail}), stopping every other domain. *)
+(** Run the worker loop on a fresh domain: {!pass} every iteration,
+    heartbeat requests for blocked inputs, and, when nothing moves,
+    exit ({!finished}) or park on this partition's signal. An escaped
+    exception becomes the run's error ({!fail}), stopping every other
+    domain. *)

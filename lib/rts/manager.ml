@@ -46,9 +46,9 @@ let register_channel_metrics t chan =
   let prefix = unique_chan_prefix t.metrics ("rts.chan." ^ Channel.name chan) in
   Channel.register_metrics chan t.metrics ~prefix
 
-let register_xchannel_metrics t xc =
-  let prefix = unique_chan_prefix t.metrics ("rts.xchannel." ^ Xchannel.name xc) in
-  Xchannel.register_metrics xc t.metrics ~prefix
+let register_xchannel_metrics t chan =
+  let prefix = unique_chan_prefix t.metrics ("rts.xchannel." ^ Channel.name chan) in
+  Channel.register_metrics chan t.metrics ~prefix
 
 let register t node =
   let k = key (Node.name node) in

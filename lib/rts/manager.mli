@@ -36,8 +36,8 @@ val add_query_node :
   op:Operator.t ->
   (Node.t, string) result
 (** Registers the node and subscribes it to each named input, in order.
-    To pin the node to an execution domain for {!Scheduler.run_parallel},
-    call {!Node.set_placement} on the result. Errors: duplicate name;
+    To pin the node to an execution domain for a multi-domain
+    {!Scheduler.run}, call {!Node.set_placement} on the result. Errors: duplicate name;
     unknown input; an LFTA (or a source) added after {!start}; an LFTA
     reading from anything but a source. *)
 
@@ -56,10 +56,11 @@ val add_query_node_sized :
     emission (an LFTA table flush, a merge drain) exceeds the default
     ring would otherwise drop tuples. [None] = default. *)
 
-val register_xchannel_metrics : t -> Xchannel.t -> unit
-(** Attach a promoted cross-domain channel's cells under
+val register_xchannel_metrics : t -> Channel.t -> unit
+(** Attach a blocking (cross-domain) channel's cells — the same cells
+    as its [rts.chan] family, plus [blocked_ns] — under
     [rts.xchannel.<from>-><to>] (suffix-deduped like [rts.chan]). Called
-    by {!Scheduler.run_parallel} at promotion time. *)
+    by {!Scheduler.run} when it switches the edge ({!Channel.set_blocking}). *)
 
 val find : t -> string -> Node.t option
 val nodes : t -> Node.t list

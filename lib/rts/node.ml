@@ -309,10 +309,10 @@ let over_high_water t frac =
   List.exists
     (function
       | Chan chan ->
-          (* A local ring's capacity bounds batches while [length] counts
-             items; at batch size 1 (and on promoted cross channels) the
-             units agree, and at larger batch sizes the comparison is
-             simply a more tolerant high-water mark. *)
+          (* The ring's capacity bounds batches while [length] counts
+             items; at batch size 1 the units agree, and at larger batch
+             sizes the comparison is simply a more tolerant high-water
+             mark. *)
           Channel.length chan >= max 1 (int_of_float (frac *. float_of_int (Channel.capacity chan)))
       | Callback _ | Batch_callback _ -> false)
     t.subscribers

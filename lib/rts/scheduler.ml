@@ -1,7 +1,8 @@
 module Metrics = Gigascope_obs.Metrics
-module Clock = Gigascope_obs.Clock
 
 type stats = { rounds : int; heartbeat_requests : int }
+
+let ( let* ) = Result.bind
 
 (* Service-time sampling period outside trace mode: timing every round
    costs two clock reads per node per round, which the 5%-overhead budget
@@ -19,121 +20,6 @@ let request_heartbeat node =
   let visited = ref [] in
   walk_upstream visited node
 
-let channels_empty node =
-  Array.for_all (fun (_, chan) -> Channel.is_empty chan) (Node.inputs node)
-
-let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?heartbeat_period
-    ?on_round ?(trace = false) ?(batch = 1) ?supervisor ?shed ?(latency_sample = 0)
-    ?(state_slack = 0.0) mgr =
-  (* A quantum smaller than the batch flushes every output builder before
-     it fills, so the *default* quantum floors at the batch — the knobs
-     compose. An explicit quantum wins: callers pinning the scheduling
-     granularity (round-indexed hooks, granularity sweeps) keep the round
-     structure they asked for, at the price of partial batches. *)
-  let quantum = match quantum with Some q -> q | None -> max 64 batch in
-  Manager.start mgr;
-  let reg = Manager.metrics mgr in
-  let rounds_c = Metrics.counter reg "rts.scheduler.rounds" in
-  let hb_c = Metrics.counter reg "rts.scheduler.heartbeat_requests" in
-  let sample = if trace then 1 else default_service_sample in
-  Metrics.Gauge.set_int (Metrics.gauge reg "rts.scheduler.service_sample") sample;
-  Metrics.Gauge.set_int (Metrics.gauge reg "rts.scheduler.batch") (max 1 batch);
-  Metrics.Gauge.set_int (Metrics.gauge reg "rts.scheduler.latency_sample") (max 0 latency_sample);
-  let nodes = Manager.nodes mgr in
-  List.iter
-    (fun n ->
-      Node.set_batch n batch;
-      Node.set_supervisor n supervisor;
-      Node.set_shed n shed;
-      Node.set_latency_sample n latency_sample;
-      Node.set_state_slack n state_slack)
-    nodes;
-  (match supervisor with Some s -> Supervisor.register_metrics s reg | None -> ());
-  (* [iter] counts scheduling iterations (max_rounds guard, sampling,
-     periodic heartbeats, the on_round hook); [rounds] counts only the
-     productive ones — iterations in which some node actually moved an
-     item. The two diverge when every node is blocked awaiting heartbeats
-     (punctuation-only iterations) and on the final wedged iteration, so
-     the [rts.scheduler.rounds] metric tracks observable progress. *)
-  let iter = ref 0 in
-  let rounds = ref 0 in
-  let heartbeat_requests = ref 0 in
-  let finished () =
-    List.for_all (fun n -> Node.exhausted n && channels_empty n) nodes
-  in
-  let downstream = List.filter (fun n -> Node.kind n <> Node.Source) nodes in
-  let result = ref None in
-  (try
-  while !result = None do
-    if finished () then result := Some (Ok { rounds = !rounds; heartbeat_requests = !heartbeat_requests })
-    else if !iter >= max_rounds then
-      result := Some (Error (Printf.sprintf "scheduler: no completion after %d rounds" max_rounds))
-    else begin
-      incr iter;
-      let timed = (!iter - 1) mod sample = 0 in
-      let step node =
-        let step () =
-          if Node.kind node = Node.Source then Node.step_source node ~quantum
-          else Node.step_inputs node ~quantum
-        in
-        if timed then begin
-          let t0 = Clock.now_ns () in
-          let r = step () in
-          Node.record_service node (Clock.now_ns () -. t0);
-          r
-        end
-        else step ()
-      in
-      let pass nodes = List.fold_left (fun made node -> step node || made) false nodes in
-      let progress = pass nodes in
-      (* Drain before the next source pull: an epoch-boundary table flush
-         can far exceed one quantum, and pulling more packets before it
-         reaches the subscribers only delays its results. Each pass keeps
-         the per-step quantum; the passes stop when no node moves. *)
-      while progress && pass downstream do
-        ()
-      done;
-      if progress then begin
-        incr rounds;
-        Metrics.Counter.incr rounds_c
-      end;
-      let hb_fired = ref false in
-      (match heartbeat_period with
-      | Some period when period > 0 && !iter mod period = 0 ->
-          List.iter
-            (fun node ->
-              if Node.kind node = Node.Source && not (Node.exhausted node) then begin
-                Node.heartbeat node;
-                hb_fired := true
-              end)
-            nodes
-      | _ -> ());
-      if heartbeats then
-        List.iter
-          (fun node ->
-            match Node.blocked_input node with
-            | Some i ->
-                incr heartbeat_requests;
-                Metrics.Counter.incr hb_c;
-                hb_fired := true;
-                let up, _ = (Node.inputs node).(i) in
-                request_heartbeat up
-            | None -> ())
-          nodes;
-      (match on_round with Some f -> f !iter | None -> ());
-      (* A heartbeat pushes punctuation into channels, so it counts as
-         progress for the next round. No item moved and nothing fired
-         means either completion (checked next iteration) or a wedged
-         network, which we surface rather than spin on. *)
-      if (not progress) && (not !hb_fired) && not (finished ()) then
-        result := Some (Error "scheduler: wedged (no progress, not finished)")
-    end
-  done
-  with Supervisor.Crashed _ as e -> result := Some (Error (Printexc.to_string e)));
-  match !result with Some r -> r | None -> assert false
-
-(* ---------------- parallel execution ------------------------------------ *)
-
 (* Partition the network over [domains] execution domains: sources and
    LFTAs stay on domain 0 (the paper's runtime process, which owns the
    packet path and the source clocks), HFTAs are spread over the
@@ -142,7 +28,7 @@ let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?heartbeat_peri
    where it asks, including domain 0.
 
    The spread must be acyclic at the {e domain} level: cross-domain
-   channels block when full ({!Xchannel.push}), and a domain blocked
+   channels block when full ({!Channel.set_blocking}), and a domain blocked
    mid-push cannot step its other nodes, so a ring of domains each
    pushing into the next's full input is a permanent deadlock no
    heartbeat can break (naive round-robin creates one as soon as a chain
@@ -158,6 +44,8 @@ let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?heartbeat_peri
    still express a cycle; that is detected and rejected here rather than
    letting the run hang. *)
 let partition ~domains nodes =
+  if domains <= 1 then Ok [| nodes |]
+  else
   let n_workers = domains - 1 in
   let dom = Hashtbl.create 32 in
   let next = ref 0 in
@@ -251,211 +139,198 @@ let partition ~domains nodes =
         nodes;
       Ok (Array.map List.rev parts)
 
-let run_parallel ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true)
-    ?heartbeat_period ?(trace = false) ?(placement = []) ?(batch = 1) ?supervisor ?shed
-    ?(latency_sample = 0) ?(state_slack = 0.0) ~domains mgr =
+let apply_placement mgr placement =
+  List.fold_left
+    (fun acc (name, d) ->
+      let* () = acc in
+      match Manager.find mgr name with
+      | Some node -> Ok (Node.set_placement node (Some d))
+      | None -> Error (Printf.sprintf "scheduler: --placement names unknown node %s" name))
+    (Ok ()) placement
+
+let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?heartbeat_period ?on_round
+    ?(trace = false) ?(domains = 1) ?(placement = []) ?(batch = 1) ?supervisor ?shed
+    ?(latency_sample = 0) ?(state_slack = 0.0) mgr =
+  (* A quantum smaller than the batch flushes every output builder before
+     it fills, so the *default* quantum floors at the batch — the knobs
+     compose. An explicit quantum wins: callers pinning the scheduling
+     granularity (round-indexed hooks, granularity sweeps) keep the round
+     structure they asked for, at the price of partial batches. *)
   let quantum = match quantum with Some q -> q | None -> max 64 batch in
-  let apply_placement () =
-    let rec go = function
-      | [] -> Ok ()
-      | (name, d) :: rest -> (
-          match Manager.find mgr name with
-          | Some node ->
-              Node.set_placement node (Some d);
-              go rest
-          | None -> Error (Printf.sprintf "scheduler: --placement names unknown node %s" name))
-    in
-    go placement
+  (* on_round hooks mutate live operator state (set_param, flush) from
+     the caller; racing them against worker domains is unsound, so a
+     hook keeps the run on one domain. *)
+  let domains = if on_round <> None then 1 else max 1 domains in
+  let* () = apply_placement mgr placement in
+  let nodes = Manager.nodes mgr in
+  let* parts = partition ~domains nodes in
+  Manager.start mgr;
+  let reg = Manager.metrics mgr in
+  let rounds_c = Metrics.counter reg "rts.scheduler.rounds" in
+  let hb_c = Metrics.counter reg "rts.scheduler.heartbeat_requests" in
+  let sample = if trace then 1 else default_service_sample in
+  let gauge name v = Metrics.Gauge.set_int (Metrics.gauge reg ("rts.scheduler." ^ name)) v in
+  gauge "service_sample" sample;
+  gauge "domains" domains;
+  gauge "batch" (max 1 batch);
+  gauge "latency_sample" (max 0 latency_sample);
+  List.iter
+    (fun n ->
+      Node.set_batch n batch;
+      Node.set_supervisor n supervisor;
+      Node.set_shed n shed;
+      Node.set_latency_sample n latency_sample;
+      Node.set_state_slack n state_slack)
+    nodes;
+  (match supervisor with Some s -> Supervisor.register_metrics s reg | None -> ());
+  (* Every edge whose endpoints sit on different domains, with the
+     consumer's domain. One domain has none. *)
+  let domain_of = Hashtbl.create 32 in
+  Array.iteri (fun d ns -> List.iter (fun n -> Hashtbl.replace domain_of (Node.name n) d) ns) parts;
+  let cross =
+    List.concat_map
+      (fun node ->
+        let d = Hashtbl.find domain_of (Node.name node) in
+        List.filter_map
+          (fun ((up : Node.t), chan) ->
+            if Hashtbl.find domain_of (Node.name up) <> d then Some (chan, d) else None)
+          (Array.to_list (Node.inputs node)))
+      nodes
   in
-  match apply_placement () with
-  | Error _ as e -> e
-  | Ok () -> (
-      if domains <= 1 then
-        run ~quantum ~max_rounds ~heartbeats ?heartbeat_period ~trace ~batch ?supervisor ?shed
-          ~latency_sample ~state_slack mgr
-      else
-      match partition ~domains (Manager.nodes mgr) with
-      | Error _ as e -> e
-      | Ok parts ->
-        Manager.start mgr;
-        let reg = Manager.metrics mgr in
-        let rounds_c = Metrics.counter reg "rts.scheduler.rounds" in
-        let hb_c = Metrics.counter reg "rts.scheduler.heartbeat_requests" in
-        let sample = if trace then 1 else default_service_sample in
-        Metrics.Gauge.set_int (Metrics.gauge reg "rts.scheduler.service_sample") sample;
-        Metrics.Gauge.set_int (Metrics.gauge reg "rts.scheduler.domains") domains;
-        Metrics.Gauge.set_int (Metrics.gauge reg "rts.scheduler.batch") (max 1 batch);
-        Metrics.Gauge.set_int (Metrics.gauge reg "rts.scheduler.latency_sample") (max 0 latency_sample);
-        let nodes = Manager.nodes mgr in
-        List.iter
-          (fun n ->
-            Node.set_batch n batch;
-            Node.set_supervisor n supervisor;
-            Node.set_shed n shed;
-            Node.set_latency_sample n latency_sample;
-            Node.set_state_slack n state_slack)
-          nodes;
-        (match supervisor with Some s -> Supervisor.register_metrics s reg | None -> ());
-        let part_of = Hashtbl.create 32 in
-        Array.iteri
-          (fun p ns -> List.iter (fun n -> Hashtbl.replace part_of (Node.name n) p) ns)
-          parts;
-        let shared = Domain_runner.make_shared ~partitions:domains in
-        let signals = Domain_runner.signals shared in
-        (* Promote every edge that crosses a domain boundary. This happens
-           before any domain spawns, so registration in the metrics
-           registry and the consumer-wakeup hooks are race-free. *)
-        List.iter
-          (fun node ->
-            let pn = Hashtbl.find part_of (Node.name node) in
-            Array.iter
-              (fun ((up : Node.t), chan) ->
-                if Hashtbl.find part_of (Node.name up) <> pn then begin
-                  let already = Channel.is_cross chan in
-                  (* Small capacity on purpose: a deep cross channel lets
-                     the producer domain run unboundedly ahead, and a
-                     downstream merge/join then buffers that whole lead
-                     before its heartbeat punctuation catches up. *)
-                  (* Room for at least two full batches, or a producer
-                     ping-pongs against the bound on every push. *)
-                  let xcap =
-                    min (Channel.capacity chan) (max (max (4 * quantum) 64) (2 * batch))
-                  in
-                  let xc = Channel.promote_cross ~capacity:xcap chan in
-                  Xchannel.set_on_push xc (fun () -> Domain_runner.notify signals.(pn));
-                  if not already then begin
-                    Manager.register_xchannel_metrics mgr xc;
-                    Domain_runner.add_xchannel shared xc
-                  end
+  let shared = Domain_runner.make_shared ~partitions:domains ~cross:(List.map fst cross) in
+  let signals = Domain_runner.signals shared in
+  (* Switch the cross edges into blocking mode before any domain spawns,
+     so metric registration and the consumer-wakeup hooks are race-free.
+     The limit is small on purpose: a deep channel lets the producer
+     domain run unboundedly ahead, and a downstream merge/join then
+     buffers that whole lead before its heartbeat punctuation catches
+     up. It leaves room for two full batches, or a producer ping-pongs
+     against the bound on every push. *)
+  List.iter
+    (fun (chan, d) ->
+      let limit = min (Channel.capacity chan) (max (max (4 * quantum) 64) (2 * batch)) in
+      if Channel.set_blocking chan ~limit ~on_push:(fun () -> Domain_runner.notify signals.(d))
+      then Manager.register_xchannel_metrics mgr chan)
+    cross;
+  let handles =
+    List.filter_map
+      (fun id ->
+        match parts.(id) with
+        | [] ->
+            (* no domain will ever own this signal; count it done for
+               the completion and wedge checks *)
+            Domain_runner.mark_exited signals.(id);
+            None
+        | ns ->
+            Some
+              (Domain_runner.spawn shared
+                 (Domain_runner.make ~id ~nodes:ns ~quantum ~heartbeats ~sample)))
+      (List.init (domains - 1) (fun i -> i + 1))
+  in
+  (* Domain 0 — the caller, and the only domain of a one-domain run —
+     owns the sources and LFTAs (plus pinned HFTAs). Besides stepping
+     them it fires heartbeats, both for its own blocked nodes and for
+     those the workers queue, since it owns the source clocks, and it
+     stays in the loop until every worker has exited, so the final
+     join never waits on a parked domain.
+
+     [iter] counts scheduling iterations (max_rounds guard, sampling,
+     periodic heartbeats, the on_round hook); [rounds] counts only the
+     productive ones — iterations in which some node actually moved an
+     item. The two diverge when every node is blocked awaiting
+     heartbeats (punctuation-only iterations) and on the final wedged
+     iteration, so the [rts.scheduler.rounds] metric tracks observable
+     progress. *)
+  let mine = parts.(0) in
+  let downstream = List.filter (fun n -> Node.kind n <> Node.Source) mine in
+  let iter = ref 0 in
+  let rounds = ref 0 in
+  let heartbeat_requests = ref 0 in
+  let finished () = Domain_runner.finished mine && Domain_runner.all_workers_exited shared in
+  let loop () =
+    let result = ref None in
+    while !result = None do
+      if Domain_runner.stopped shared then
+        result :=
+          Some
+            (Error (Option.value (Domain_runner.error shared) ~default:"scheduler: run aborted"))
+      else if finished () then
+        result := Some (Ok { rounds = !rounds; heartbeat_requests = !heartbeat_requests })
+      else if !iter >= max_rounds then
+        result := Some (Error (Printf.sprintf "scheduler: no completion after %d rounds" max_rounds))
+      else begin
+        incr iter;
+        let timed = (!iter - 1) mod sample = 0 in
+        let progress = Domain_runner.pass ~quantum ~timed mine in
+        (* Drain before the next source pull: an epoch-boundary table
+           flush can far exceed one quantum, and pulling more packets
+           before it reaches the subscribers only delays its results.
+           Each pass keeps the per-step quantum; the passes stop when no
+           node moves. *)
+        while progress && Domain_runner.pass ~quantum ~timed downstream do
+          ()
+        done;
+        if progress then begin
+          incr rounds;
+          Metrics.Counter.incr rounds_c
+        end;
+        let hb_fired = ref false in
+        let requested () =
+          incr heartbeat_requests;
+          Metrics.Counter.incr hb_c;
+          hb_fired := true
+        in
+        (match heartbeat_period with
+        | Some period when period > 0 && !iter mod period = 0 ->
+            List.iter
+              (fun node ->
+                if Node.kind node = Node.Source && not (Node.exhausted node) then begin
+                  Node.heartbeat node;
+                  hb_fired := true
                 end)
-              (Node.inputs node))
-          nodes;
-        let runners =
-          List.filter_map
-            (fun id ->
-              match parts.(id) with
-              | [] ->
-                  (* no domain will ever own this signal; count it done
-                     for the completion and wedge checks *)
-                  Domain_runner.mark_exited signals.(id);
-                  None
-              | ns ->
-                  Some
-                    (Domain_runner.make ~id ~nodes:ns ~quantum ~heartbeats ~sample))
-            (List.init (domains - 1) (fun i -> i + 1))
-        in
-        let handles = List.map (Domain_runner.spawn shared) runners in
-        (* Domain 0: the single-threaded loop over sources + LFTAs (plus
-           pinned HFTAs), with two extra duties — draining cross-domain
-           heartbeat requests, and staying in the loop (servicing those
-           requests) until every worker has exited, so the final join
-           never waits on a parked domain. *)
-        let my_nodes = parts.(0) in
-        let iter = ref 0 in
-        let rounds = ref 0 in
-        let heartbeat_requests = ref 0 in
-        let finished0 () =
-          List.for_all (fun n -> Node.exhausted n && channels_empty n) my_nodes
-          && Domain_runner.all_workers_exited shared
-        in
-        let loop () =
-          let result = ref None in
-          while !result = None do
-            if Domain_runner.stopped shared then
-              result :=
-                Some
-                  (Error
-                     (Option.value (Domain_runner.error shared)
-                        ~default:"scheduler: parallel run aborted"))
-            else if finished0 () then result := Some (Ok ())
-            else if !iter >= max_rounds then
-              result :=
-                Some
-                  (Error (Printf.sprintf "scheduler: no completion after %d rounds" max_rounds))
-            else begin
-              incr iter;
-              let timed = (!iter - 1) mod sample = 0 in
-              let progress = ref false in
-              List.iter
-                (fun node ->
-                  let step () =
-                    if Node.kind node = Node.Source then Node.step_source node ~quantum
-                    else Node.step_inputs node ~quantum
-                  in
-                  let made =
-                    if timed then begin
-                      let t0 = Clock.now_ns () in
-                      let r = step () in
-                      Node.record_service node (Clock.now_ns () -. t0);
-                      r
-                    end
-                    else step ()
-                  in
-                  if made then progress := true)
-                my_nodes;
-              if !progress then begin
-                incr rounds;
-                Metrics.Counter.incr rounds_c
-              end;
-              let hb_fired = ref false in
-              (match heartbeat_period with
-              | Some period when period > 0 && !iter mod period = 0 ->
-                  List.iter
-                    (fun node ->
-                      if Node.kind node = Node.Source && not (Node.exhausted node) then begin
-                        Node.heartbeat node;
-                        hb_fired := true
-                      end)
-                    my_nodes
-              | _ -> ());
-              if heartbeats then
-                List.iter
-                  (fun node ->
-                    match Node.blocked_input node with
-                    | Some i ->
-                        incr heartbeat_requests;
-                        Metrics.Counter.incr hb_c;
-                        hb_fired := true;
-                        let up, _ = (Node.inputs node).(i) in
-                        request_heartbeat up
-                    | None -> ())
-                  my_nodes;
-              (match Domain_runner.take_heartbeats shared with
-              | [] -> ()
-              | pending ->
-                  hb_fired := true;
-                  List.iter
-                    (fun src ->
-                      incr heartbeat_requests;
-                      Metrics.Counter.incr hb_c;
-                      Node.heartbeat src)
-                    pending);
-              (* Quiet is not necessarily a wedge here: a worker may be
-                 mid-quantum or about to queue a heartbeat request. But if
-                 the probe shows every domain parked with nothing pending
-                 anywhere, nobody will ever wake anybody — report the same
-                 wedge the single-threaded scheduler does. Otherwise park
-                 until a worker pokes us (heartbeat queue, a push into a
-                 pinned HFTA's input, its own park or exit, or an abort). *)
-              if (not !progress) && (not !hb_fired) && not (finished0 ()) then begin
-                if Domain_runner.probe_wedged shared then
-                  result := Some (Error "scheduler: wedged (no progress, not finished)")
-                else Domain_runner.wait signals.(0)
-              end
-            end
-          done;
-          match !result with Some r -> r | None -> assert false
-        in
-        let res = try loop () with e -> Error (Printexc.to_string e) in
-        (* On error, unblock everyone before joining; on success every
-           worker has already exited its loop (finished0 waits for that),
-           so the joins return promptly. *)
-        (match res with
-        | Error msg -> Domain_runner.fail shared msg
-        | Ok () -> ());
-        List.iter Domain.join handles;
-        match (res, Domain_runner.error shared) with
-        | Error _, Some msg -> Error msg
-        | Error msg, None -> Error msg
-        | Ok (), Some msg -> Error msg
-        | Ok (), None -> Ok { rounds = !rounds; heartbeat_requests = !heartbeat_requests })
+              mine
+        | _ -> ());
+        if heartbeats then
+          List.iter
+            (fun node ->
+              match Node.blocked_input node with
+              | Some i ->
+                  requested ();
+                  request_heartbeat (fst (Node.inputs node).(i))
+              | None -> ())
+            mine;
+        List.iter
+          (fun src ->
+            requested ();
+            Node.heartbeat src)
+          (Domain_runner.take_heartbeats shared);
+        (match on_round with Some f -> f !iter | None -> ());
+        (* A heartbeat pushes punctuation into channels, so it counts as
+           progress for the next round. Otherwise quiet is not
+           necessarily a wedge: a worker may be mid-quantum or about to
+           queue a heartbeat request. But if the probe shows every domain
+           parked with nothing pending anywhere (with no workers: at
+           once), nobody will ever wake anybody — report the wedge.
+           Otherwise park until a worker pokes us (heartbeat queue, a push
+           into a pinned HFTA's input, its own park or exit, or an
+           abort). *)
+        if (not progress) && (not !hb_fired) && not (finished ()) then begin
+          if Domain_runner.probe_wedged shared then
+            result := Some (Error "scheduler: wedged (no progress, not finished)")
+          else Domain_runner.wait signals.(0)
+        end
+      end
+    done;
+    match !result with Some r -> r | None -> assert false
+  in
+  (* Any exception escaping a step (no supervisor, or a Fail_fast
+     escalation) becomes this run's error, at every domain count. On
+     error, unblock everyone before joining; on success every worker has
+     already exited its loop (finished waits for that), so the joins
+     return promptly. *)
+  let res = try loop () with e -> Error (Printexc.to_string e) in
+  (match res with Error msg -> Domain_runner.fail shared msg | Ok _ -> ());
+  List.iter Domain.join handles;
+  match (res, Domain_runner.error shared) with
+  | _, Some msg -> Error msg
+  | res, None -> res

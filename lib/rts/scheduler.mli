@@ -1,19 +1,22 @@
-(** Cooperative execution of the query network.
+(** Cooperative execution of the query network, on one or more OCaml
+    domains.
 
-    Round-robin over registered nodes in topological order. A round is
-    one pass over every node — sources produce a quantum of items, query
-    nodes consume up to a quantum from each input — followed by further
-    passes over the query nodes alone, each with the same per-step
-    quantum, until none of them moves an item: a round ends with
-    everything its packets produced drained as far downstream as it can
-    go, however large an epoch flush was. After each round, operators
-    that report a blocked input get
-    heartbeats requested on their behalf (the "on-demand" ordering-update
-    tokens of Section 3), propagated upstream to the sources, whose clocks
-    answer with punctuations.
+    The network is partitioned over the domains ({!partition}); a
+    one-domain run is the partition with no workers. Each domain steps
+    its nodes round-robin in topological order. On domain 0, which owns
+    the sources, a round is one pass over its nodes — sources produce a
+    quantum of items, query nodes consume up to a quantum from each
+    input — followed by further passes over its query nodes alone, each
+    with the same per-step quantum, until none of them moves an item: a
+    round ends with everything its packets produced drained as far
+    downstream as it can go, however large an epoch flush was. After
+    each round, operators that report a blocked input get heartbeats
+    requested on their behalf (the "on-demand" ordering-update tokens of
+    Section 3), propagated upstream to the sources, whose clocks answer
+    with punctuations.
 
-    A run completes when every source is exhausted, every channel drained,
-    and EOF has propagated to the sinks. *)
+    A run completes when every source is exhausted, every channel
+    drained, and EOF has propagated to the sinks. *)
 
 type stats = {
   rounds : int;
@@ -27,6 +30,8 @@ val run :
   ?heartbeat_period:int ->
   ?on_round:(int -> unit) ->
   ?trace:bool ->
+  ?domains:int ->
+  ?placement:(string * int) list ->
   ?batch:int ->
   ?supervisor:Supervisor.t ->
   ?shed:float ->
@@ -34,7 +39,42 @@ val run :
   ?state_slack:float ->
   Manager.t ->
   (stats, string) result
-(** [state_slack] (default 0 = off) arms the per-node state watchdog
+(** [domains] (default 1) is the paper's process-per-HFTA architecture
+    (Section 2.2) mapped onto OCaml domains. Domain 0 (the caller) runs
+    the sources and LFTAs — the packet path; each HFTA runs on one of
+    [domains - 1] worker domains as a pipeline stage (see {!partition}),
+    unless pinned by [placement] (node name → domain index; modulo
+    [domains]; an unknown name is an error) or a prior
+    {!Node.set_placement}. Edges crossing a domain boundary are switched
+    into blocking mode ({!Channel.set_blocking}): the inter-process
+    "shared memory" edges get backpressure instead of drops, and their
+    cells are also exported under [rts.xchannel.*]. A placement whose
+    domain graph is cyclic is rejected with an error: bounded blocking
+    channels would deadlock on such a cycle. Blocked HFTAs on worker
+    domains still get on-demand heartbeats: the request is queued to
+    domain 0, which owns the source clocks. The stats count domain 0's
+    productive rounds only; worker progress shows up in node and channel
+    metrics. Output is deterministic: every operator's emitted tuple
+    sequence depends only on its per-channel input tuple sequences, not
+    on punctuation timing or domain interleaving, so every domain count
+    produces byte-identical subscriber output (verified by
+    test/test_parallel.ml). The effective count is published as the
+    [rts.scheduler.domains] gauge.
+
+    [on_round] runs after each of domain 0's scheduling iterations — the
+    hook through which a live application changes query parameters or
+    flushes queries mid-stream. It mutates live operator state, which
+    must not race worker domains, so it forces one domain.
+
+    Any error — an exception escaping a node step, a [Fail_fast]
+    escalation from [supervisor], an error on any domain — aborts every
+    domain and returns the first error. A wedged network (no domain can
+    make progress and nothing is pending anywhere — e.g. with
+    [heartbeats:false], or an operator that never completes) is detected
+    by a termination probe and reported as
+    ["scheduler: wedged (no progress, not finished)"], never as a hang.
+
+    [state_slack] (default 0 = off) arms the per-node state watchdog
     ({!Node.set_state_slack}): a query node holding more than its
     certified bound × slack is treated as crashed (Gap announced, then
     the supervisor's verdict — poison/escalate — applies). Nodes
@@ -48,10 +88,8 @@ val run :
     [rts.scheduler.latency_sample] gauge.
 
     [supervisor] installs crash supervision on every node
-    ({!Node.set_supervisor}); a [Fail_fast] escalation surfaces as this
-    function's [Error] result instead of an exception. [shed] arms
-    source-side load shedding at that high-water fraction
-    ({!Node.set_shed}).
+    ({!Node.set_supervisor}). [shed] arms source-side load shedding at
+    that high-water fraction ({!Node.set_shed}).
 
     [batch] (default 1) sets every node's output batch size
     ({!Node.set_batch}): tuples move through channels in runs of up to
@@ -61,18 +99,17 @@ val run :
     effective size is published as the [rts.scheduler.batch] gauge.
     The {e default} quantum is floored at [batch] so a large batch is
     not flushed early; an explicit [quantum] wins (round-indexed hooks
-    keep their round structure) at the price of partial batches.
+    keep their round structure) at the price of partial batches. A
+    blocking channel's limit always holds at least two batches.
 
     [quantum] (default [max 64 batch]) items per node step (per source
-    per round); [max_rounds] (default
-    10_000_000) bounds scheduling iterations as a wedge guard;
-    [heartbeats] (default true) enables on-demand punctuation (requested
-    by blocked operators); [heartbeat_period] additionally fires every
-    source's clock punctuation every N iterations — the periodic
-    injection of Tucker & Maier that the paper contrasts with its
-    on-demand scheme; [on_round] runs after each scheduling iteration —
-    the hook through which a live application changes query parameters or
-    flushes queries mid-stream. Implies {!Manager.start}.
+    per round); [max_rounds] (default 10_000_000) bounds domain 0's
+    scheduling iterations as a wedge guard; [heartbeats] (default true)
+    enables on-demand punctuation (requested by blocked operators);
+    [heartbeat_period] additionally fires every source's clock
+    punctuation every N iterations — the periodic injection of Tucker &
+    Maier that the paper contrasts with its on-demand scheme. Implies
+    {!Manager.start}.
 
     The run feeds the manager's metrics registry: [rts.scheduler.rounds]
     and [rts.scheduler.heartbeat_requests] counters, plus each node's
@@ -85,57 +122,6 @@ val run :
     EXPLAIN-ANALYZE-grade per-operator cost ({!Manager.trace_report}).
     The effective sampling period is published as the
     [rts.scheduler.service_sample] gauge. *)
-
-val run_parallel :
-  ?quantum:int ->
-  ?max_rounds:int ->
-  ?heartbeats:bool ->
-  ?heartbeat_period:int ->
-  ?trace:bool ->
-  ?placement:(string * int) list ->
-  ?batch:int ->
-  ?supervisor:Supervisor.t ->
-  ?shed:float ->
-  ?latency_sample:int ->
-  ?state_slack:float ->
-  domains:int ->
-  Manager.t ->
-  (stats, string) result
-(** Multicore execution: the paper's process-per-HFTA architecture
-    (Section 2.2) mapped onto OCaml domains. Domain 0 (the caller) runs
-    the sources and LFTAs — the packet path; each HFTA runs on one of
-    [domains - 1] worker domains as a pipeline stage (see {!partition}),
-    unless pinned by [placement] (node name → domain index; modulo
-    [domains]) or a prior {!Node.set_placement}. Channels crossing a
-    domain boundary are promoted to blocking cross-domain channels
-    ({!Xchannel}) — the inter-process "shared memory" edges get
-    backpressure instead of drops, and their metrics move under
-    [rts.xchannel.*]. A [placement] whose domain graph is cyclic is
-    rejected with an error: bounded blocking channels would deadlock on
-    such a cycle.
-
-    Blocked HFTAs on worker domains still get on-demand heartbeats: the
-    request is queued to domain 0, which owns the source clocks.
-
-    [domains <= 1] degrades to {!run} (same semantics, zero spawns).
-    The returned stats count domain 0's productive rounds only; worker
-    progress shows up in node and channel metrics. On any domain's error
-    the run aborts all domains and returns the first error. A wedged
-    network (no domain can make progress, nothing pending anywhere — e.g.
-    with [heartbeats:false], or an operator that never completes) is
-    detected by a cross-domain termination probe and reported as the
-    same wedge error {!run} produces, never as a hang. Publishes the
-    [rts.scheduler.domains] gauge.
-
-    Parallel output is deterministic: every operator's emitted tuple
-    sequence depends only on its per-channel input tuple sequences, not
-    on punctuation timing or domain interleaving, so a parallel run
-    produces byte-identical subscriber output to a single-threaded run
-    (verified by test/test_parallel.ml).
-
-    [batch] behaves as in {!run}; one cross-domain push then moves a
-    whole batch under a single lock acquire, and the cross-channel
-    capacity is clamped up so it always holds at least two batches. *)
 
 val request_heartbeat : Node.t -> unit
 (** Walk upstream from the node and fire every source's clock punctuation
@@ -150,4 +136,5 @@ val partition : domains:int -> Node.t list -> (Node.t list array, string) result
     blocking cross-domain channels deadlock-free. Explicit placements
     ({!Node.set_placement}) are honoured verbatim; if they make the
     domain graph cyclic the partition is rejected ([Error] naming the
-    cycle). Exposed for tests. *)
+    cycle). [domains <= 1] is one part holding every node in
+    registration order. Exposed for tests. *)

@@ -151,20 +151,23 @@ let lpm_table_never_raises =
 
 (* ------------------- cross-domain channel -------------------------------- *)
 
-(* The SPSC contract under real concurrency: a producer domain pushing with
-   random stalls (sometimes closing mid-stream), a consumer domain popping
-   with random stalls (so EOF regularly lands before the queue drains).
-   Whatever the interleaving: the consumer sees exactly the accepted
-   tuples, in push order; acceptance is a prefix when the channel closes
-   mid-stream; and the metrics add up. *)
+(* The SPSC contract of a blocking channel under real concurrency: a
+   producer domain pushing with random stalls (sometimes closing
+   mid-stream), a consumer domain popping with random stalls (so EOF
+   regularly lands before the queue drains). Whatever the interleaving:
+   the consumer sees exactly the accepted tuples, in push order;
+   acceptance is a prefix when the channel closes mid-stream; and the
+   metrics add up. *)
 let xchannel_fuzz =
-  qtest ~count:150 "Xchannel: order, prefix-on-close, metric consistency" QCheck.small_int
-    (fun seed ->
+  qtest ~count:150 "blocking channel: order, prefix-on-close, metric consistency"
+    QCheck.small_int (fun seed ->
       let rng = Prng.create ((seed * 7) + 1) in
       let capacity = 1 + Prng.int rng 8 in
       let n = 20 + Prng.int rng 300 in
       let close_at = if Prng.int rng 3 = 0 then Some (Prng.int rng n) else None in
-      let xc = Rts.Xchannel.create ~capacity ~name:"fuzz" () in
+      let chan = Rts.Channel.create ~capacity ~name:"fuzz" () in
+      ignore (Rts.Channel.set_blocking chan ~limit:capacity ~on_push:ignore);
+      let producer_done = Atomic.make false in
       let stall prng =
         if Prng.int prng 10 = 0 then
           for _ = 1 to 50 do
@@ -177,12 +180,12 @@ let xchannel_fuzz =
             let acc = ref [] in
             let continue = ref true in
             while !continue do
-              (match Rts.Xchannel.pop xc with
+              (match Rts.Channel.pop chan with
               | Some (Rts.Item.Tuple [| Rts.Value.Int v |]) -> acc := v :: !acc
               | Some Rts.Item.Eof -> continue := false
               | Some _ -> ()
               | None ->
-                  if Rts.Xchannel.is_closed xc && Rts.Xchannel.is_empty xc then
+                  if Atomic.get producer_done && Rts.Channel.is_empty chan then
                     continue := false
                   else Domain.cpu_relax ());
               stall crng
@@ -190,21 +193,21 @@ let xchannel_fuzz =
             List.rev !acc)
       in
       for i = 0 to n - 1 do
-        (match close_at with Some c when c = i -> Rts.Xchannel.close xc | _ -> ());
-        ignore (Rts.Xchannel.push xc (Rts.Item.Tuple [| Rts.Value.Int i |]));
+        (match close_at with Some c when c = i -> Rts.Channel.close chan | _ -> ());
+        ignore (Rts.Channel.push chan (Rts.Item.Tuple [| Rts.Value.Int i |]));
         stall rng
       done;
-      ignore (Rts.Xchannel.push xc Rts.Item.Eof);
-      (* EOF is dropped silently on a closed channel; close again so a
-         consumer still draining observes termination either way *)
-      Rts.Xchannel.close xc;
+      (* EOF is refused silently on a closed channel; the flag lets a
+         consumer still draining observe termination either way *)
+      ignore (Rts.Channel.push chan Rts.Item.Eof);
+      Atomic.set producer_done true;
       let got = Domain.join consumer in
       let accepted = match close_at with Some c -> c | None -> n in
       got = List.init accepted (fun i -> i)
-      && Rts.Xchannel.tuples_in xc = accepted
-      && Rts.Xchannel.drops xc = n - accepted
-      && Rts.Xchannel.high_water xc <= capacity
-      && Rts.Xchannel.blocked_ns xc >= 0)
+      && Rts.Channel.tuples_in chan = accepted
+      && Rts.Channel.drops chan = n - accepted
+      && Rts.Channel.high_water chan <= capacity
+      && Rts.Channel.blocked_ns chan >= 0)
 
 (* ---------------------- batched data plane ------------------------------ *)
 

@@ -423,32 +423,17 @@ let test_engine_lfta_metrics () =
   | Some (Metrics.Gauge v) -> check (Alcotest.float 1e-9) "table size from lfta_bits" 4.0 v
   | _ -> Alcotest.fail "missing slots gauge"
 
-(* Parallel run: the promoted cross-domain channels must export the full
-   rts.xchannel.* instrument set, the scheduler must report its domain
-   count, and all of it must survive both exposition formats. *)
+(* Parallel run: the blocking cross-domain channels must export the full
+   rts.xchannel.* instrument set — the same cells as their rts.chan
+   family, plus blocked_ns — the scheduler must report its domain count
+   (1 on a one-domain run, which has no cross edge), and all of it must
+   survive both exposition formats. *)
 let test_engine_xchannel_metrics () =
   let ip = Ipaddr.of_string in
   let pkt ts dport =
     Packet.tcp ~ts ~src:(ip "10.0.0.1") ~dst:(ip "10.0.0.2") ~src_port:1234 ~dst_port:dport
       ~payload:(Bytes.of_string "x") ()
   in
-  let engine = E.create () in
-  E.add_packet_list_interface engine ~name:"eth0"
-    (List.init 32 (fun i -> pkt (1.0 +. (0.01 *. float_of_int i)) (1000 + (i mod 4))));
-  (match
-     E.install_query engine
-       {| DEFINE { query_name ports; }
-          SELECT tb, destport, count(*) as cnt
-          FROM eth0.tcp WHERE ipversion = 4
-          GROUP BY time/1 as tb, destport |}
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  let rows = ref 0 in
-  Result.get_ok (E.on_tuple engine "ports" (fun _ -> incr rows));
-  (match E.run engine ~parallel:2 () with Ok _ -> () | Error e -> Alcotest.fail e);
-  check Alcotest.bool "parallel run produced output" true (!rows > 0);
-  let snap = E.metrics_snapshot engine in
   let starts_with pre s =
     String.length s >= String.length pre && String.sub s 0 (String.length pre) = pre
   in
@@ -456,13 +441,51 @@ let test_engine_xchannel_metrics () =
     let sl = String.length s and fl = String.length suf in
     sl >= fl && String.sub s (sl - fl) fl = suf
   in
+  let run_on parallel =
+    let engine = E.create () in
+    E.add_packet_list_interface engine ~name:"eth0"
+      (List.init 32 (fun i -> pkt (1.0 +. (0.01 *. float_of_int i)) (1000 + (i mod 4))));
+    (match
+       E.install_query engine
+         {| DEFINE { query_name ports; }
+            SELECT tb, destport, count(*) as cnt
+            FROM eth0.tcp WHERE ipversion = 4
+            GROUP BY time/1 as tb, destport |}
+     with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e);
+    let rows = ref 0 in
+    Result.get_ok (E.on_tuple engine "ports" (fun _ -> incr rows));
+    (match E.run engine ~parallel () with Ok _ -> () | Error e -> Alcotest.fail e);
+    check Alcotest.bool "run produced output" true (!rows > 0);
+    E.metrics_snapshot engine
+  in
+  let domains_gauge snap =
+    match Metrics.find snap "rts.scheduler.domains" with
+    | Some (Metrics.Gauge v) -> v
+    | _ -> Alcotest.fail "missing rts.scheduler.domains gauge"
+  in
+  let one = run_on 1 in
+  check (Alcotest.float 1e-9) "one-domain run exports domains = 1" 1.0 (domains_gauge one);
+  check Alcotest.bool "one domain: no cross-domain channel" false
+    (List.exists (fun (n, _) -> starts_with "rts.xchannel." n) one);
+  let snap = run_on 2 in
   let xchan = List.filter (fun (n, _) -> starts_with "rts.xchannel." n) snap in
   check Alcotest.bool "cross-domain channels registered" true (xchan <> []);
   let instrument suffix =
     check Alcotest.bool ("xchannel " ^ suffix ^ " exported") true
       (List.exists (fun (n, _) -> ends_with suffix n) xchan)
   in
-  List.iter instrument [".tuples_in"; ".drops"; ".blocked_ns"; ".depth"; ".high_water"];
+  List.iter instrument
+    [".tuples_in"; ".drops"; ".blocked_ns"; ".depth"; ".high_water"; ".batch_items"];
+  List.iter
+    (function
+      | n, Metrics.Counter c when ends_with ".tuples_in" n ->
+          let edge = String.sub n 13 (String.length n - 13) in
+          check Alcotest.bool ("one count per edge: " ^ edge) true
+            (Metrics.find snap ("rts.chan." ^ edge) = Some (Metrics.Counter c))
+      | _ -> ())
+    xchan;
   check Alcotest.bool "tuples crossed the domain boundary" true
     (List.exists
        (function n, Metrics.Counter c -> ends_with ".tuples_in" n && c > 0 | _ -> false)
@@ -471,9 +494,7 @@ let test_engine_xchannel_metrics () =
     (List.for_all
        (function n, Metrics.Counter c -> (not (ends_with ".drops" n)) || c = 0 | _ -> true)
        xchan);
-  (match Metrics.find snap "rts.scheduler.domains" with
-  | Some (Metrics.Gauge v) -> check (Alcotest.float 1e-9) "domain count exported" 2.0 v
-  | _ -> Alcotest.fail "missing rts.scheduler.domains gauge");
+  check (Alcotest.float 1e-9) "domain count exported" 2.0 (domains_gauge snap);
   (* exposition: the namespace survives JSON round-trip and Prometheus *)
   (match Metrics.of_json (Metrics.to_json snap) with
   | Error e -> Alcotest.fail ("of_json: " ^ e)

@@ -4,7 +4,7 @@
    on the single-threaded scheduler, once on N OCaml domains via
    Engine.run ~parallel. The subscriber output of every query must be
    byte-identical — not multiset-equal, identical in order — because the
-   runtime's claim (Scheduler.run_parallel's doc) is that operator output
+   runtime's claim (Scheduler.run's doc) is that operator output
    depends only on per-channel input tuple order, never on punctuation
    timing or domain interleaving.
 
@@ -252,7 +252,7 @@ let test_wedge_detected () =
       (Result.get_ok
          (Rts.Manager.add_query_node mgr ~name:"stuck" ~kind:Rts.Node.Hfta ~schema
             ~inputs:["src"] ~op:stuck));
-    if parallel <= 1 then Rts.Scheduler.run mgr else Rts.Scheduler.run_parallel ~domains:parallel mgr
+    Rts.Scheduler.run ~domains:parallel mgr
   in
   List.iter
     (fun parallel ->
@@ -265,29 +265,32 @@ let test_wedge_detected () =
     [1; 2; 3]
 
 (* close-while-producer-blocked-in-push: the producer domain is parked
-   in Xchannel.push on a full channel when the consumer tears the
+   pushing into a full blocking channel when the consumer tears the
    channel down. close must release the waiter and the push must report
    rejection — a hang here deadlocked shutdown paths. *)
 let test_xchannel_close_releases_blocked_push () =
-  let xc = Rts.Xchannel.create ~capacity:4 ~name:"xc-close-race" () in
+  let chan = Rts.Channel.create ~capacity:4 ~name:"xc-close-race" () in
+  ignore (Rts.Channel.set_blocking chan ~limit:4 ~on_push:ignore);
   for i = 1 to 4 do
-    check Alcotest.bool "fill accepted" true (Rts.Xchannel.push xc (Rts.Item.Tuple [| Value.Int i |]))
+    check Alcotest.bool "fill accepted" true (Rts.Channel.push chan (Rts.Item.Tuple [| Value.Int i |]))
   done;
   let released = Atomic.make false in
   let accepted = Atomic.make true in
   let producer =
     Thread.create
       (fun () ->
-        let ok = Rts.Xchannel.push xc (Rts.Item.Tuple [| Value.Int 99 |]) in
+        let ok = Rts.Channel.push chan (Rts.Item.Tuple [| Value.Int 99 |]) in
         Atomic.set accepted ok;
         Atomic.set released true)
       ()
   in
   Thread.delay 0.05;
   check Alcotest.bool "producer is parked on the full channel" false (Atomic.get released);
-  Rts.Xchannel.close xc;
+  Rts.Channel.close chan;
   Thread.join producer (* hangs forever if close does not broadcast *);
-  check Alcotest.bool "blocked push rejected after close" false (Atomic.get accepted)
+  check Alcotest.bool "blocked push rejected after close" false (Atomic.get accepted);
+  check Alcotest.int "the rejected tuple is a drop" 1 (Rts.Channel.drops chan);
+  check Alcotest.bool "the wait was accounted" true (Rts.Channel.blocked_ns chan > 0)
 
 (* same race, injected: a fault clause closes the channel out from under
    a push mid-run; the parallel run must still terminate *)
@@ -302,6 +305,101 @@ let test_xchannel_injected_close_terminates () =
         E.run engine ~parallel:3 ~quantum:4 ()
       with
       | Ok _ | Error _ -> () (* either verdict is fine; hanging is not *))
+
+(* partition ~domains:1 is the one-domain run: one part, every node in
+   registration order — unsharded, and with the shard replicas that
+   would otherwise go to workers *)
+let test_partition_one_domain () =
+  List.iter
+    (fun shards ->
+      let engine = E.create ~shards () in
+      eth0_setup ~rate:10.0 ~duration:0.2 ~seed:1 engine;
+      ignore
+        (Result.get_ok
+           (E.install_program engine
+              "DEFINE { query_name q; } SELECT time, COUNT(*) FROM eth0.tcp GROUP BY time"));
+      let nodes = Rts.Manager.nodes (E.manager engine) in
+      match Rts.Scheduler.partition ~domains:1 nodes with
+      | Error e -> Alcotest.fail e
+      | Ok parts ->
+          check Alcotest.int (Printf.sprintf "shards=%d: one part" shards) 1 (Array.length parts);
+          check
+            Alcotest.(list string)
+            (Printf.sprintf "shards=%d: every node, in order" shards)
+            (List.map Rts.Node.name nodes)
+            (List.map Rts.Node.name parts.(0)))
+    [1; 2]
+
+(* a network of one source feeding one HFTA built from [op] *)
+let one_hfta_manager op =
+  let module Schema = Rts.Schema in
+  let mgr = Rts.Manager.create () in
+  let schema =
+    Schema.make [ { Schema.name = "x"; ty = Rts.Ty.Int; order = Rts.Order_prop.Unordered } ]
+  in
+  let remaining = ref 50 in
+  let source =
+    {
+      Rts.Node.pull =
+        (fun () ->
+          if !remaining > 0 then begin
+            decr remaining;
+            Some (Rts.Item.Tuple [| Value.Int !remaining |])
+          end
+          else None);
+      clock = (fun () -> []);
+    }
+  in
+  ignore (Result.get_ok (Rts.Manager.add_source mgr ~name:"src" ~schema source));
+  ignore
+    (Result.get_ok
+       (Rts.Manager.add_query_node mgr ~name:"h" ~kind:Rts.Node.Hfta ~schema ~inputs:["src"] ~op));
+  mgr
+
+let passthrough =
+  {
+    Rts.Operator.on_item = (fun ~input:_ item ~emit -> emit item);
+    on_batch = None;
+    blocked_input = (fun () -> None);
+    buffered = (fun () -> 0);
+    reset = None;
+  }
+
+(* an on_round hook forces one domain: it runs after every iteration,
+   and the run reports one domain *)
+let test_on_round_forces_one_domain () =
+  let mgr = one_hfta_manager passthrough in
+  let calls = ref [] in
+  (match Rts.Scheduler.run ~domains:2 ~quantum:4 ~on_round:(fun i -> calls := i :: !calls) mgr with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let calls = List.rev !calls in
+  check Alcotest.bool "the hook ran" true (List.length calls > 1);
+  check Alcotest.(list int) "once per iteration, in order"
+    (List.init (List.length calls) (fun i -> i + 1))
+    calls;
+  match
+    Gigascope_obs.Metrics.find
+      (Gigascope_obs.Metrics.snapshot (Rts.Manager.metrics mgr))
+      "rts.scheduler.domains"
+  with
+  | Some (Gigascope_obs.Metrics.Gauge v) -> check (Alcotest.float 0.0) "one domain" 1.0 v
+  | _ -> Alcotest.fail "missing rts.scheduler.domains gauge"
+
+(* without a supervisor, an exception escaping a step is the run's
+   Error at every domain count, never an escaped exception *)
+let test_crash_is_error () =
+  List.iter
+    (fun domains ->
+      let crash = { passthrough with Rts.Operator.on_item = (fun ~input:_ _ ~emit:_ -> failwith "boom") } in
+      match Rts.Scheduler.run ~domains (one_hfta_manager crash) with
+      | Ok _ -> Alcotest.fail (Printf.sprintf "crash not reported (domains=%d)" domains)
+      | Error e ->
+          check Alcotest.bool (Printf.sprintf "domains=%d names the failure: %s" domains e) true
+            (contains e "boom")
+      | exception e ->
+          Alcotest.fail (Printf.sprintf "domains=%d raised %s" domains (Printexc.to_string e)))
+    [1; 2]
 
 (* the e2-style acceptance run: several query networks at once on two
    domains — completes, zero dropped tuples, identical output *)
@@ -352,6 +450,9 @@ let () =
           tc "wedge detected, not hung" test_wedge_detected;
           tc "xchannel close releases a blocked push" test_xchannel_close_releases_blocked_push;
           tc "injected xchannel close terminates" test_xchannel_injected_close_terminates;
+          tc "one-domain partition" test_partition_one_domain;
+          tc "on_round forces one domain" test_on_round_forces_one_domain;
+          tc "crash is an error at any domain count" test_crash_is_error;
         ] );
       ("multi-query", [tc "two domains, no drops" test_multi_query_no_drops]);
     ]

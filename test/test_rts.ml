@@ -1161,15 +1161,20 @@ let test_manager_lfta_input_restriction () =
 
 (* -------------------- channel promotion --------------------------------- *)
 
+(* Promotion switches a local edge into blocking mode in place, the way
+   a multi-domain run switches every edge between two domains. *)
+
 let drain_channel chan =
   let rec go acc =
     match Rts.Channel.pop chan with Some item -> go (item :: acc) | None -> List.rev acc
   in
   go []
 
-let test_promote_cross_carries_buffer () =
-  (* whatever sits buffered at promotion time — tuples, punctuation, Eof —
-     must come out of the cross-domain channel intact and in order *)
+let promote ?(limit = 64) chan = Rts.Channel.set_blocking chan ~limit ~on_push:ignore
+
+let test_promotion_carries_buffer () =
+  (* whatever sits buffered at the switch — tuples, punctuation, Eof —
+     must come out of the blocking channel intact and in order *)
   let chan = Rts.Channel.create ~capacity:16 ~name:"edge" () in
   let items =
     [
@@ -1181,17 +1186,15 @@ let test_promote_cross_carries_buffer () =
     ]
   in
   List.iter (fun item -> assert (Rts.Channel.push chan item)) items;
-  let xc = Rts.Channel.promote_cross chan in
-  check Alcotest.bool "channel reports cross" true (Rts.Channel.is_cross chan);
-  check Alcotest.int "nothing lost in the move" (List.length items) (Rts.Channel.length chan);
-  check Alcotest.int "xchannel holds the buffer" (List.length items) (Rts.Xchannel.length xc);
+  check Alcotest.bool "first switch reports it" true (promote chan);
+  check Alcotest.int "nothing lost in the switch" (List.length items) (Rts.Channel.length chan);
   let got = drain_channel chan in
   check Alcotest.bool "buffered items carry over in order" true (got = items);
-  check Alcotest.int "no drops from promotion" 0 (Rts.Channel.drops chan)
+  check Alcotest.int "no drops from the switch" 0 (Rts.Channel.drops chan)
 
-let test_promote_cross_partial_batch () =
-  (* promotion mid-stream, after a batch was partially consumed: the
-     consumer-side remainder must carry over ahead of the ring *)
+let test_promotion_partial_batch () =
+  (* a switch mid-stream, after a batch was partially consumed: the
+     consumer-side remainder must still come out ahead of the ring *)
   let chan = Rts.Channel.create ~capacity:16 ~name:"edge" () in
   let batch =
     Rts.Batch.make
@@ -1203,7 +1206,7 @@ let test_promote_cross_partial_batch () =
   (match Rts.Channel.pop chan with
   | Some (Item.Tuple [| Value.Int 0; _ |]) -> ()
   | _ -> Alcotest.fail "first tuple expected before promotion");
-  ignore (Rts.Channel.promote_cross chan);
+  ignore (promote chan);
   let got = drain_channel chan in
   let expected =
     [
@@ -1215,35 +1218,68 @@ let test_promote_cross_partial_batch () =
   in
   check Alcotest.bool "remainder then ring, in order" true (got = expected)
 
-let test_promote_cross_idempotent () =
-  (* a second promotion mid-stream must return the same xchannel and
-     disturb nothing *)
+let test_promotion_idempotent () =
+  (* a second switch mid-stream reports that the channel already blocks
+     and disturbs nothing *)
   let chan = Rts.Channel.create ~capacity:16 ~name:"edge" () in
   assert (Rts.Channel.push chan (Item.Tuple [| vint 0; vint 0 |]));
-  let xc1 = Rts.Channel.promote_cross chan in
+  check Alcotest.bool "first switch" true (promote chan);
   assert (Rts.Channel.push chan (Item.Tuple [| vint 1; vint 0 |]));
   (match Rts.Channel.pop chan with
   | Some (Item.Tuple [| Value.Int 0; _ |]) -> ()
   | _ -> Alcotest.fail "first tuple expected between promotions");
-  let xc2 = Rts.Channel.promote_cross chan in
-  check Alcotest.bool "same xchannel both times" true (xc1 == xc2);
-  (match Rts.Channel.cross chan with
-  | Some xc -> check Alcotest.bool "cross accessor agrees" true (xc == xc1)
-  | None -> Alcotest.fail "promoted channel lost its xchannel");
+  check Alcotest.bool "second switch is not a first" false (promote chan);
   let got = drain_channel chan in
   check Alcotest.bool "in-flight item undisturbed" true
     (got = [Item.Tuple [| vint 1; vint 0 |]])
 
-let test_promote_cross_capacity_clamp () =
-  (* the cross capacity is never smaller than what is already buffered:
-     promotion runs single-domain, so a blocking push would never drain *)
+let test_promotion_capacity_clamp () =
+  (* the limit is never below what is already buffered: the switch runs
+     single-domain, so a push waiting there would never drain. With 5
+     buffered, a limit of 2 and one item popped, a push must still get
+     in at once. *)
   let chan = Rts.Channel.create ~capacity:8 ~name:"edge" () in
   for i = 0 to 4 do
     assert (Rts.Channel.push chan (Item.Tuple [| vint i; vint 0 |]))
   done;
-  let xc = Rts.Channel.promote_cross ~capacity:2 chan in
-  check Alcotest.bool "capacity clamped to buffer" true (Rts.Xchannel.capacity xc >= 5);
-  check Alcotest.int "every buffered item admitted" 5 (Rts.Xchannel.length xc)
+  ignore (promote ~limit:2 chan);
+  check Alcotest.int "every buffered item kept" 5 (Rts.Channel.length chan);
+  ignore (Rts.Channel.pop chan);
+  let pushed = Atomic.make false in
+  let producer =
+    Thread.create
+      (fun () ->
+        ignore (Rts.Channel.push chan (Item.Tuple [| vint 5; vint 0 |]));
+        Atomic.set pushed true)
+      ()
+  in
+  let rec await n = Atomic.get pushed || (n > 0 && (Thread.delay 0.01; await (n - 1))) in
+  let ok = await 200 in
+  (* release a producer stuck on a limit below the buffer *)
+  Rts.Channel.close chan;
+  Thread.join producer;
+  check Alcotest.bool "limit clamped to the buffer" true ok
+
+let test_channel_depth_in_items () =
+  (* depth and high-water count items on a local channel too, not ring
+     slots: three 4-tuple batches are 12 items *)
+  let chan = Rts.Channel.create ~capacity:16 ~name:"edge" () in
+  let batch i = Rts.Batch.make (Array.init 4 (fun j -> [| vint ((4 * i) + j); vint 0 |])) None in
+  for i = 0 to 2 do
+    assert (Rts.Channel.push_batch chan (batch i))
+  done;
+  check Alcotest.int "depth in items" 12 (Rts.Channel.length chan);
+  ignore (Rts.Channel.pop chan);
+  check Alcotest.int "a popped item leaves the depth" 11 (Rts.Channel.length chan);
+  ignore (Rts.Channel.pop_batch chan);
+  assert (Rts.Channel.push_batch chan (batch 3));
+  check Alcotest.int "depth after the remainder left" 12 (Rts.Channel.length chan);
+  check Alcotest.int "high_water in items" 12 (Rts.Channel.high_water chan);
+  let reg = Gigascope_obs.Metrics.create () in
+  Rts.Channel.register_metrics chan reg ~prefix:"c";
+  match Gigascope_obs.Metrics.find (Gigascope_obs.Metrics.snapshot reg) "c.high_water" with
+  | Some (Gigascope_obs.Metrics.Gauge v) -> check (Alcotest.float 0.0) "gauge in items" 12.0 v
+  | _ -> Alcotest.fail "missing high_water gauge"
 
 let test_scheduler_end_to_end () =
   let mgr = Rts.Manager.create () in
@@ -1408,11 +1444,12 @@ let () =
         ] );
       ( "channel",
         [
-          Alcotest.test_case "promotion carries buffer" `Quick test_promote_cross_carries_buffer;
+          Alcotest.test_case "promotion carries buffer" `Quick test_promotion_carries_buffer;
           Alcotest.test_case "promotion carries partial batch" `Quick
-            test_promote_cross_partial_batch;
-          Alcotest.test_case "promotion idempotent" `Quick test_promote_cross_idempotent;
-          Alcotest.test_case "promotion capacity clamp" `Quick test_promote_cross_capacity_clamp;
+            test_promotion_partial_batch;
+          Alcotest.test_case "promotion idempotent" `Quick test_promotion_idempotent;
+          Alcotest.test_case "promotion capacity clamp" `Quick test_promotion_capacity_clamp;
+          Alcotest.test_case "depth and high water in items" `Quick test_channel_depth_in_items;
         ] );
       ( "manager-scheduler",
         [
