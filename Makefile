@@ -77,10 +77,13 @@ ci-certify:
 # the server's drop count, or p99 goes insane), then a live scrape of a
 # serve --http endpoint — /metrics must expose Prometheus families and
 # /queries must list the installed streams, checked with curl like a
-# real scraper would.
+# real scraper would. The soak writes BENCH_soak.json into its working
+# directory, so it runs in a temporary one: the committed file is
+# regenerated only on purpose.
 HTTP_SMOKE_PORT ?= 19378
 ci-observability:
-	timeout 20 dune exec bench/main.exe -- soak 4 40
+	d=$$(mktemp -d) && (cd "$$d" && timeout 20 dune exec --root $(CURDIR) bench/main.exe -- soak 4 40); \
+	  s=$$?; rm -rf "$$d"; exit $$s
 	( dune exec bin/gsq.exe -- serve queries/tcpdest.gsql \
 	    --listen 127.0.0.1:0 --http 127.0.0.1:$(HTTP_SMOKE_PORT) \
 	    --rate 400 --duration 120 --latency-sample 16 & \

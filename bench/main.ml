@@ -444,9 +444,10 @@ let e3_select_aggregate ~n ~domains ~batch =
   let dt = Unix.gettimeofday () -. t0 in
   let fingerprint = Buffer.create 4096 in
   let rec drain () =
-    match Rts.Channel.pop out with
-    | Some item ->
-        Buffer.add_string fingerprint (Format.asprintf "%a@." Rts.Item.pp item);
+    match Rts.Channel.pop_batch out with
+    | Some batch ->
+        Rts.Batch.iter batch (fun item ->
+            Buffer.add_string fingerprint (Format.asprintf "%a@." Rts.Item.pp item));
         drain ()
     | None -> ()
   in
@@ -845,9 +846,10 @@ let run_a5 () =
       List.map (fun r -> (0, r)) left @ List.map (fun r -> (1, r)) right
       |> List.stable_sort (fun (_, a) (_, b) -> Value.compare a.(0) b.(0))
     in
-    List.iter (fun (input, row) -> op.Rts.Operator.on_item ~input (Rts.Item.Tuple row) ~emit) tagged;
-    op.Rts.Operator.on_item ~input:0 Rts.Item.Eof ~emit;
-    op.Rts.Operator.on_item ~input:1 Rts.Item.Eof ~emit;
+    let feed input item = Rts.Node.feed op ~input (Rts.Batch.of_item item) ~emit in
+    List.iter (fun (input, row) -> feed input (Rts.Item.Tuple row)) tagged;
+    feed 0 Rts.Item.Eof;
+    feed 1 Rts.Item.Eof;
     (!out, !backwards, Rts.Join_op.high_water join)
   in
   let out_b, back_b, hw_b = run Rts.Join_op.Banded_output in
@@ -1226,7 +1228,7 @@ let run_micro () =
       Test.make ~name:"lfta-agg-step"
         (Staged.stage (fun () ->
              let i = next 512 in
-             lfta_op.Rts.Operator.on_item ~input:0 (Rts.Item.Tuple tuples.(i)) ~emit:sinkhole));
+             lfta_op.Rts.Operator.on_tuple ~input:0 tuples.(i) ~emit:sinkhole));
       Test.make ~name:"tuple-hash"
         (Staged.stage (fun () ->
              let i = next 512 in

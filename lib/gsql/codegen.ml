@@ -314,23 +314,13 @@ let make_agg_config ~params ~sample_seed:_ (a : Plan.agg_body) =
    [next_seq ()] is the next index this replica could ever assign, hence
    a firm lower bound on everything it will still emit. *)
 let shard_seq_wrap (op : Rts.Operator.t) ~seq_idx ~next_seq =
-  let seq_punct ~emit = emit (Rts.Item.Punct [ (seq_idx, Value.Int (next_seq ())) ]) in
-  let on_item ~input item ~emit =
-    op.Rts.Operator.on_item ~input item ~emit;
-    match item with Rts.Item.Punct _ -> seq_punct ~emit | _ -> ()
+  let on_ctrl ~input item ~emit =
+    op.Rts.Operator.on_ctrl ~input item ~emit;
+    match item with
+    | Rts.Item.Punct _ -> emit (Rts.Item.Punct [ (seq_idx, Value.Int (next_seq ())) ])
+    | _ -> ()
   in
-  let on_batch =
-    match op.Rts.Operator.on_batch with
-    | None -> None
-    | Some f ->
-        Some
-          (fun ~input batch ~emit ->
-            f ~input batch ~emit;
-            match Rts.Batch.ctrl batch with
-            | Some (Rts.Item.Punct _) -> seq_punct ~emit
-            | _ -> ())
-  in
-  { op with Rts.Operator.on_item; on_batch }
+  { op with Rts.Operator.on_ctrl }
 
 let make_op ~params ~seed (phys : Split.phys_node) =
   match phys.Split.pbody with

@@ -30,23 +30,6 @@ let of_item = function
   | (Item.Punct _ | Item.Flush | Item.Eof | Item.Error _ | Item.Gap _) as ctrl ->
       { tuples = [||]; stamps = None; ctrl = Some ctrl }
 
-(* Rebuild a batch from an item list in batch shape (tuples first, then
-   at most one control item) — the shape of any partially consumed
-   batch remainder, which is the only caller. Stamps are dropped: they
-   are a sampled, best-effort measurement and the item-level remainder
-   path is not worth threading them through. *)
-let of_items items =
-  let rec split acc = function
-    | Item.Tuple values :: rest -> split (values :: acc) rest
-    | [ ((Item.Punct _ | Item.Flush | Item.Eof | Item.Error _ | Item.Gap _) as ctrl) ] ->
-        (List.rev acc, Some ctrl)
-    | [] -> (List.rev acc, None)
-    | (Item.Punct _ | Item.Flush | Item.Eof | Item.Error _ | Item.Gap _) :: _ ->
-        invalid_arg "Batch.of_items: control item before the end"
-  in
-  let tuples, ctrl = split [] items in
-  { tuples = Array.of_list tuples; stamps = None; ctrl }
-
 let tuples t = t.tuples
 let stamps t = t.stamps
 let ctrl t = t.ctrl

@@ -28,15 +28,8 @@ val make : ?stamps:int array -> Value.t array array -> Item.t option -> t
     batch afterwards. *)
 
 val of_item : Item.t -> t
-(** A singleton batch — how the item-level channel API is expressed on
-    the batched transport. *)
-
-val of_items : Item.t list -> t
-(** Rebuild from a list in batch shape (tuples first, then at most one
-    trailing control item); raises [Invalid_argument] otherwise.
-    Stamps, if the items came from a stamped batch, are not
-    reconstructed — the remainder path is best-effort for the sampled
-    measurement. *)
+(** A singleton batch — how an item-level push is expressed on the
+    batched transport. *)
 
 val tuples : t -> Value.t array array
 
@@ -55,9 +48,8 @@ val items : t -> int
 val is_empty : t -> bool
 
 val iter : t -> (Item.t -> unit) -> unit
-(** Visit the batch as items, tuples first then the control item — the
-    per-tuple fallback path for operators without a batch
-    implementation. *)
+(** Visit the batch as items, tuples first then the control item — how
+    an item-level subscriber ({!Node.Callback}) sees a delivered batch. *)
 
 val to_items : t -> Item.t list
 

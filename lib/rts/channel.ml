@@ -9,12 +9,9 @@ module Clock = Gigascope_obs.Clock
    ({!set_blocking}); Node.step_inputs and the operators never notice.
 
    The transport unit is a Batch: one ring slot (and, in blocking mode,
-   one lock acquire) moves a whole run of tuples. The item-level
-   push/pop/peek API is kept as singleton-batch wrappers, with [cur]
-   holding the consumer-side remainder of a partially consumed batch —
-   only the consumer touches it. [n_items] counts what is buffered,
-   ring and remainder together, so depth and high-water are in items on
-   every edge. *)
+   one lock acquire) moves a whole run of tuples, and a consumer pops
+   whole batches only. [n_items] counts the items the ring holds, so
+   depth and high-water are in items on every edge. *)
 
 (* What blocking mode adds, allocated only by {!set_blocking}. *)
 type blocking = {
@@ -30,8 +27,7 @@ type t = {
   name : string;
   capacity : int;  (* ring slots *)
   ring : Batch.t Ring.t;
-  mutable cur : Item.t list;  (* consumer-side remainder of a popped batch *)
-  mutable n_items : int;  (* buffered items: ring plus remainder *)
+  mutable n_items : int;  (* buffered items *)
   mutable hw : int;
   mutable blocking : blocking option;
   tuples_in : Metrics.Counter.t;
@@ -44,7 +40,6 @@ let create ?(capacity = 4096) ~name () =
     name;
     capacity;
     ring = Ring.create ~capacity;
-    cur = [];
     n_items = 0;
     hw = 0;
     blocking = None;
@@ -144,56 +139,23 @@ let push_batch t batch =
 
 let push t item = push_batch t (Batch.of_item item)
 
-(* Consumer side. In blocking mode these run under the lock, and a pop
-   (or a peek that moves a batch out of the ring) wakes a waiting
-   producer. *)
-
 let take_batch t =
-  match t.cur with
-  | [] -> (
-      match Ring.pop t.ring with
-      | Some b as r ->
-          t.n_items <- t.n_items - Batch.items b;
-          r
-      | None -> None)
-  | items ->
-      t.cur <- [];
-      t.n_items <- t.n_items - List.length items;
-      Some (Batch.of_items items)
+  match Ring.pop t.ring with
+  | Some b as r ->
+      t.n_items <- t.n_items - Batch.items b;
+      r
+  | None -> None
 
-let rec take_item t =
-  match t.cur with
-  | item :: rest ->
-      t.cur <- rest;
-      t.n_items <- t.n_items - 1;
-      Some item
-  | [] -> (
-      match Ring.pop t.ring with
-      | Some b ->
-          t.cur <- Batch.to_items b;
-          take_item t
-      | None -> None)
-
-let rec peek_item t =
-  match t.cur with
-  | item :: _ -> Some item
-  | [] -> (
-      match Ring.pop t.ring with
-      | Some b ->
-          t.cur <- Batch.to_items b;
-          peek_item t
-      | None -> None)
-
-let consume b f t =
-  Mutex.lock b.lock;
-  let r = f t in
-  if Option.is_some r then Condition.signal b.not_full;
-  Mutex.unlock b.lock;
-  r
-
-let pop_batch t = match t.blocking with None -> take_batch t | Some b -> consume b take_batch t
-let pop t = match t.blocking with None -> take_item t | Some b -> consume b take_item t
-let peek t = match t.blocking with None -> peek_item t | Some b -> consume b peek_item t
+let pop_batch t =
+  match t.blocking with
+  | None -> take_batch t
+  | Some b ->
+      (* a pop makes room: wake a waiting producer *)
+      Mutex.lock b.lock;
+      let r = take_batch t in
+      if Option.is_some r then Condition.signal b.not_full;
+      Mutex.unlock b.lock;
+      r
 
 (* Blocking mode reads under the lock: another domain is writing. *)
 let read t f =

@@ -5,13 +5,13 @@
     high can the input rate be before tuples drop").
 
     The transport unit is a {!Batch}: one ring slot holds one batch, so a
-    run of tuples costs one push and one pop however long it is. The
-    item-level {!push}/{!pop}/{!peek} API is kept for tests and
-    applications as singleton-batch wrappers; flattening the batch
-    sequence always yields the same item sequence the tuple-at-a-time
-    plane carried. The ring's capacity bounds {e batches}, so the item
-    capacity scales with the batch size; drop accounting, depth and
-    high-water are always per item.
+    run of tuples costs one push and one pop however long it is.
+    Producers may push single items ({!push}); the consumer pops whole
+    batches ({!pop_batch}). Flattening the batch sequence always yields
+    the same item sequence the tuple-at-a-time plane carried. The
+    ring's capacity bounds {e batches}, so the item capacity scales with
+    the batch size; drop accounting, depth and high-water are always per
+    item.
 
     A channel starts local: a full ring drops. An edge between two
     execution domains is switched into blocking mode ({!set_blocking})
@@ -42,15 +42,10 @@ val push : t -> Item.t -> bool
     byte-for-byte the pre-batching semantics. *)
 
 val pop_batch : t -> Batch.t option
-(** Dequeue one batch (never waits). If the item-level {!pop} partially
-    consumed a batch, its remainder is returned first. *)
-
-val pop : t -> Item.t option
-val peek : t -> Item.t option
+(** Dequeue one batch, whole (never waits) — the only consumer call. *)
 
 val length : t -> int
-(** Buffered items (tuples plus control items), including the remainder
-    of a partially consumed batch. Constant time. *)
+(** Buffered items (tuples plus control items). Constant time. *)
 
 val is_empty : t -> bool
 

@@ -179,19 +179,27 @@ let emit_punct t ~emit =
 
 let op t =
   let cfg = t.cfg in
-  let on_item ~input item ~emit =
-    let side, idx, from_left =
-      if input = 0 then (t.left, cfg.left_idx, true) else (t.right, cfg.right_idx, false)
-    in
+  (* State only shrinks outside [on_tuple] (purges, releases), so the
+     high-water mark is taken there. *)
+  let on_tuple ~input values ~emit =
+    let from_left = input = 0 in
+    let side = if from_left then t.left else t.right in
+    let ts = ts_of values (if from_left then cfg.left_idx else cfg.right_idx) in
+    if ts > side.bound then side.bound <- ts;
+    probe t ~from_left values ~emit;
+    Queue.push values side.buffer;
+    purge t;
+    let b = buffered t in
+    if b > t.high_water then t.high_water <- b
+  in
+  (* One Ordered_output release per batch: the watermark only grows,
+     every new pair's key is at or above it, and release takes strictly
+     below it, so per-tuple releases would occupy disjoint ascending key
+     ranges whose concatenation is this one release. *)
+  let on_batch_end ~emit = release t ~emit in
+  let on_ctrl ~input item ~emit =
+    let side, idx = if input = 0 then (t.left, cfg.left_idx) else (t.right, cfg.right_idx) in
     (match item with
-    | Item.Tuple values ->
-        let ts = ts_of values idx in
-        if ts > side.bound then side.bound <- ts;
-        probe t ~from_left values ~emit;
-        Queue.push values side.buffer;
-        purge t;
-        let b = buffered t in
-        if b > t.high_water then t.high_water <- b
     | Item.Punct bounds -> (
         match List.assoc_opt idx bounds with
         | Some v -> (
@@ -206,52 +214,17 @@ let op t =
                 emit_punct t ~emit
             | None -> ())
         | None -> ())
-    | Item.Flush -> ()
+    | Item.Tuple _ | Item.Flush -> ()
     | Item.Eof ->
         side.eof <- true;
         purge t
     | (Item.Error _ | Item.Gap _) as ctrl -> emit ctrl);
     release t ~emit;
-    let b = buffered t in
-    if b > t.high_water then t.high_water <- b;
     if (not t.done_) && t.left.eof && t.right.eof then begin
       t.done_ <- true;
       release t ~emit;
       emit Item.Eof
     end
-  in
-  (* Batched path: probe/buffer/purge per tuple (preserving the purge
-     invariant that no held pair ever falls below the current output
-     watermark), with the Ordered_output release deferred to the end of
-     the run. Deferring is output-identical: the watermark only grows,
-     every new pair's key is at or above it, and release takes strictly
-     below it — so per-tuple releases occupy disjoint ascending key
-     ranges and their concatenation equals one release at the final
-     watermark. *)
-  let on_batch ~input batch ~emit =
-    let side, idx, from_left =
-      if input = 0 then (t.left, cfg.left_idx, true) else (t.right, cfg.right_idx, false)
-    in
-    let tuples = Batch.tuples batch in
-    let n = Array.length tuples in
-    if n > 0 then begin
-      for i = 0 to n - 1 do
-        let values = tuples.(i) in
-        let ts = ts_of values idx in
-        if ts > side.bound then side.bound <- ts;
-        probe t ~from_left values ~emit;
-        Queue.push values side.buffer;
-        purge t
-      done;
-      let b = buffered t in
-      if b > t.high_water then t.high_water <- b
-    end;
-    match Batch.ctrl batch with
-    | Some ctrl -> on_item ~input ctrl ~emit
-    | None ->
-        release t ~emit;
-        let b = buffered t in
-        if b > t.high_water then t.high_water <- b
   in
   let blocked_input () =
     let starving st = Queue.is_empty st.buffer && not st.eof in
@@ -260,8 +233,9 @@ let op t =
     else None
   in
   {
-    Operator.on_item;
-    on_batch = Some on_batch;
+    Operator.on_tuple;
+    on_batch_end;
+    on_ctrl;
     blocked_input;
     buffered = (fun () -> buffered t);
     reset = None;

@@ -67,9 +67,8 @@ let on_tuple t values ~emit =
     cfg.base
 
 let op t =
-  let on_item ~input:_ item ~emit =
+  let on_ctrl ~input:_ item ~emit =
     match item with
-    | Item.Tuple values -> on_tuple t values ~emit
     | Item.Punct bounds -> (
         (* a bound past the open epoch closes it *)
         match List.assoc_opt t.cfg.epoch_field bounds with
@@ -87,20 +86,15 @@ let op t =
           emit Item.Eof
         end
     | (Item.Error _ | Item.Gap _) as ctrl -> emit ctrl
-  in
-  let on_batch ~input batch ~emit =
-    let tuples = Batch.tuples batch in
-    for i = 0 to Array.length tuples - 1 do
-      on_tuple t tuples.(i) ~emit
-    done;
-    match Batch.ctrl batch with Some ctrl -> on_item ~input ctrl ~emit | None -> ()
+    | Item.Tuple _ -> ()
   in
   {
-    Operator.on_item;
-    on_batch = Some on_batch;
+    Operator.on_tuple = (fun ~input:_ values ~emit -> on_tuple t values ~emit);
+    on_batch_end = (fun ~emit:_ -> ());
+    on_ctrl;
     blocked_input = (fun () -> None);
     buffered = (fun () -> Array.length t.cfg.base);
-  reset = None;
+    reset = None;
   }
 
 let epochs_emitted t = t.epochs_emitted

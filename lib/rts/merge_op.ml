@@ -90,41 +90,42 @@ let advance_forward_punct t input bounds =
       | None -> ())
     t.forward
 
-(* Emit while some input's head is covered by every other input's bound. *)
-let drain t ~emit =
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    (* Find the input with the smallest head. *)
-    let best = ref None in
-    Array.iteri
-      (fun i st ->
-        if not (Queue.is_empty st.queue) then begin
-          let v = (Queue.peek st.queue).(t.cfg.ordered_idx) in
-          match !best with
-          | Some (_, bv) when cmp t bv v <= 0 -> ()
-          | _ -> best := Some (i, v)
-        end)
-      t.inputs;
-    match !best with
-    | None -> ()
-    | Some (i, v) ->
-        let covered = ref true in
-        Array.iteri
-          (fun j _ ->
-            if j <> i then
-              match low_of t j with
-              | `Infinity -> ()
-              | `Unknown -> covered := false
-              | `Known lo -> if cmp t lo v < 0 then covered := false)
-          t.inputs;
-        if !covered then begin
-          Metrics.Histogram.observe t.reorder_lag (float_of_int (buffered t - 1));
-          ignore (emit (Item.Tuple (Queue.pop t.inputs.(i).queue)));
-          progress := true
-        end
+let head t i = (Queue.peek t.inputs.(i).queue).(t.cfg.ordered_idx)
+
+(* The input with the smallest head, ties to the lowest index; -1 when
+   every queue is empty. *)
+let smallest_head t =
+  let best = ref (-1) in
+  for i = 0 to Array.length t.inputs - 1 do
+    if (not (Queue.is_empty t.inputs.(i).queue)) && (!best < 0 || cmp t (head t i) (head t !best) < 0)
+    then best := i
   done;
-  if (not t.done_) && Array.for_all (fun st -> st.eof && Queue.is_empty st.queue) t.inputs
+  !best
+
+(* Every other input has passed input [i]'s head: none can still
+   deliver anything that comes before it. *)
+let releasable t i =
+  let v = head t i in
+  let ok = ref true in
+  for j = 0 to Array.length t.inputs - 1 do
+    let st = t.inputs.(j) in
+    if !ok && j <> i then
+      ok :=
+        if not (Queue.is_empty st.queue) then cmp t (head t j) v >= 0
+        else st.eof || (match st.bound with Value.Null -> false | b -> cmp t b v >= 0)
+  done;
+  !ok
+
+(* Emit while the smallest head is releasable. This runs after every
+   tuple, so it allocates nothing but what it emits. *)
+let rec drain t ~emit =
+  let i = smallest_head t in
+  if i >= 0 && releasable t i then begin
+    Metrics.Histogram.observe t.reorder_lag (float_of_int (buffered t - 1));
+    ignore (emit (Item.Tuple (Queue.pop t.inputs.(i).queue)));
+    drain t ~emit
+  end
+  else if (not t.done_) && Array.for_all (fun st -> st.eof && Queue.is_empty st.queue) t.inputs
   then begin
     t.done_ <- true;
     emit Item.Eof
@@ -165,53 +166,35 @@ let emit_punct t ~emit =
   if bounds <> [] then emit (Item.Punct bounds)
 
 let op t =
-  let on_item ~input item ~emit =
+  (* Drain after every tuple, not once per batch: a tuple already queued
+     behind a released head can win an equal-key tie against another
+     input's head, which a drain before its arrival releases first. The
+     output would then depend on how the input was batched. *)
+  let on_tuple ~input values ~emit =
+    let st = t.inputs.(input) in
+    Queue.push values st.queue;
+    let hw = buffered t in
+    if hw > t.high_water then t.high_water <- hw;
+    let v = values.(t.cfg.ordered_idx) in
+    if st.bound = Value.Null || cmp t st.bound v < 0 then st.bound <- v;
+    advance_forward_tuple t input values;
+    drain t ~emit
+  in
+  let on_ctrl ~input item ~emit =
     let st = t.inputs.(input) in
     (match item with
-    | Item.Tuple values ->
-        Queue.push values st.queue;
-        let hw = buffered t in
-        if hw > t.high_water then t.high_water <- hw;
-        let v = values.(t.cfg.ordered_idx) in
-        if st.bound = Value.Null || cmp t st.bound v < 0 then st.bound <- v;
-        advance_forward_tuple t input values
     | Item.Punct bounds ->
         (match List.assoc_opt t.cfg.ordered_idx bounds with
         | Some v -> if st.bound = Value.Null || cmp t st.bound v < 0 then st.bound <- v
         | None -> ());
         advance_forward_punct t input bounds
-    | Item.Flush -> ()
+    | Item.Tuple _ | Item.Flush -> ()
     | Item.Eof -> st.eof <- true
     | (Item.Error _ | Item.Gap _) as ctrl -> emit ctrl);
     drain t ~emit;
     match item with
     | Item.Punct _ -> emit_punct t ~emit
     | Item.Tuple _ | Item.Flush | Item.Eof | Item.Error _ | Item.Gap _ -> ()
-  in
-  (* Batched path: enqueue the whole run (each tuple advancing the
-     input's bound exactly as it would one at a time), then drain once.
-     Deferring the drain is output-identical: bounds only grow, so the
-     released sequence — smallest covered head first, ties to the lowest
-     input — is the same whether it leaves in one run or interleaved
-     between pushes. *)
-  let on_batch ~input batch ~emit =
-    let st = t.inputs.(input) in
-    let tuples = Batch.tuples batch in
-    let n = Array.length tuples in
-    if n > 0 then begin
-      for i = 0 to n - 1 do
-        let values = tuples.(i) in
-        Queue.push values st.queue;
-        let v = values.(t.cfg.ordered_idx) in
-        if st.bound = Value.Null || cmp t st.bound v < 0 then st.bound <- v;
-        advance_forward_tuple t input values
-      done;
-      let hw = buffered t in
-      if hw > t.high_water then t.high_water <- hw
-    end;
-    match Batch.ctrl batch with
-    | Some ctrl -> on_item ~input ctrl ~emit
-    | None -> drain t ~emit
   in
   let blocked_input () =
     (* Blocked: some input has data waiting, and another input's silence
@@ -229,8 +212,9 @@ let op t =
       find 0
   in
   {
-    Operator.on_item;
-    on_batch = Some on_batch;
+    Operator.on_tuple;
+    on_batch_end = (fun ~emit:_ -> ());
+    on_ctrl;
     blocked_input;
     buffered = (fun () -> buffered t);
     reset = None;

@@ -84,6 +84,9 @@ type t = {
   mutable out_stamped : bool;
   mutable terminal : bool;
   deliver_latency : Metrics.Histogram.t;
+  (* [emit t] as one closure, built once by make_op: the [emit] every
+     operator hook receives. *)
+  mutable op_emit : Operator.emit;
 }
 
 let make name kind schema behavior =
@@ -122,10 +125,10 @@ let make name kind schema behavior =
     out_stamped = false;
     terminal = false;
     deliver_latency = Metrics.Histogram.make ();
+    op_emit = ignore;
   }
 
 let make_source ~name ~schema source = make name Source schema (Src source)
-let make_op ~name ~kind ~schema ~op = make name kind schema (Op op)
 
 let name t = t.name
 let set_supervisor t sup = t.supervisor <- sup
@@ -276,6 +279,11 @@ let emit t item =
       (match item with Item.Eof -> t.eof_emitted <- true | _ -> ());
       seal t (Some item)
 
+let make_op ~name ~kind ~schema ~op =
+  let t = make name kind schema (Op op) in
+  t.op_emit <- emit t;
+  t
+
 (* Announce the failure downstream and stop producing. Tuples already
    in the output builder were emitted before the crash and are still
    valid; the Error control item seals them into their batch. *)
@@ -414,6 +422,15 @@ let check_watchdog t =
     end
   end
 
+(* The one loop every operator runs under. *)
+let feed (op : Operator.t) ~input batch ~emit =
+  let tuples = Batch.tuples batch in
+  for j = 0 to Array.length tuples - 1 do
+    op.on_tuple ~input tuples.(j) ~emit
+  done;
+  op.on_batch_end ~emit;
+  match Batch.ctrl batch with Some ctrl -> op.on_ctrl ~input ctrl ~emit | None -> ()
+
 let step_inputs t ~quantum =
   match t.behavior with
   | Src _ -> false
@@ -451,7 +468,7 @@ let step_inputs t ~quantum =
                        if s <> 0 then t.pending_stamp <- s
                    | Some _ | None -> ());
                    Faults.crash_point ~node:t.name;
-                   Operator.apply_batch op ~input:i batch ~emit:(emit t)
+                   feed op ~input:i batch ~emit:t.op_emit
                | None -> continue := false
              done)
            t.node_inputs
@@ -479,7 +496,7 @@ let inject_flush t =
   match t.behavior with
   | Src _ -> ()
   | Op op ->
-      op.Operator.on_item ~input:0 Item.Flush ~emit:(emit t);
+      op.Operator.on_ctrl ~input:0 Item.Flush ~emit:t.op_emit;
       (* Operators that swallow Flush (merge) may still have emitted
          tuples; don't leave them in the builder. *)
       flush_out t

@@ -141,9 +141,15 @@ val step_source : t -> quantum:int -> bool
 
 val step_inputs : t -> quantum:int -> bool
 (** Drain up to [quantum] items from each input through the operator
-    (whole batches at a time; the quantum is checked between batches);
-    true if anything was consumed. Any partial output batch is flushed
-    before returning. *)
+    (whole batches at a time, each through {!feed}; the quantum is
+    checked between batches); true if anything was consumed. Any
+    partial output batch is flushed before returning. *)
+
+val feed : Operator.t -> input:int -> Batch.t -> emit:Operator.emit -> unit
+(** What {!step_inputs} does with each popped batch: [on_tuple] on
+    every tuple in order, then [on_batch_end], then [on_ctrl] on the
+    control item if there is one (see {!Operator}). Exposed so operator
+    tests drive the path the engine runs. *)
 
 val exhausted : t -> bool
 (** Sources: pull returned [None]. Query nodes: EOF emitted downstream. *)

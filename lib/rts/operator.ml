@@ -1,40 +1,10 @@
 type emit = Item.t -> unit
 
 type t = {
-  on_item : input:int -> Item.t -> emit:emit -> unit;
-  on_batch : (input:int -> Batch.t -> emit:emit -> unit) option;
+  on_tuple : input:int -> Value.t array -> emit:emit -> unit;
+  on_batch_end : emit:emit -> unit;
+  on_ctrl : input:int -> Item.t -> emit:emit -> unit;
   blocked_input : unit -> int option;
   buffered : unit -> int;
   reset : (unit -> unit) option;
 }
-
-let apply_batch t ~input batch ~emit =
-  match t.on_batch with
-  | Some f -> f ~input batch ~emit
-  | None -> Batch.iter batch (fun item -> t.on_item ~input item ~emit)
-
-let stateless f ~n_inputs =
-  let eofs = Array.make n_inputs false in
-  let done_ = ref false in
-  let on_item ~input item ~emit =
-    match item with
-    | Item.Tuple values -> f values ~emit
-    | Item.Punct _ | Item.Flush | Item.Error _ | Item.Gap _ -> emit item
-    | Item.Eof ->
-        eofs.(input) <- true;
-        if Array.for_all Fun.id eofs && not !done_ then begin
-          done_ := true;
-          emit Item.Eof
-        end
-  in
-  let on_batch ~input batch ~emit =
-    Array.iter (fun values -> f values ~emit) (Batch.tuples batch);
-    match Batch.ctrl batch with Some ctrl -> on_item ~input ctrl ~emit | None -> ()
-  in
-  {
-    on_item;
-    on_batch = Some on_batch;
-    blocked_input = (fun () -> None);
-    buffered = (fun () -> 0);
-    reset = Some (fun () -> ());
-  }

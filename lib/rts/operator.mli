@@ -1,7 +1,19 @@
 (** The operator abstraction query nodes execute.
 
-    An operator reacts to items arriving on numbered inputs and emits items
-    downstream through the provided [emit]. The contract:
+    An operator is three hooks that {!Node.step_inputs} calls from one
+    loop over each popped batch, in this order:
+    + [on_tuple] on every tuple of the batch, in order;
+    + [on_batch_end] once, after the tuples (also when there were
+      none);
+    + [on_ctrl] on the batch's trailing control item, if it has one.
+
+    A batch's items therefore reach the operator in stream order, and
+    whatever [on_batch_end] emits leaves ahead of the control item's
+    output. Only the join does work there (its Ordered_output release).
+
+    The contract:
+    - a batch must produce what its items produce fed one per batch, so
+      output never depends on the batch size;
     - exactly one [Item.Eof] must be emitted, after the operator has seen
       [Eof] on all its inputs and flushed its state;
     - [Item.Punct] must be translated (not blindly forwarded) so emitted
@@ -14,12 +26,11 @@
 type emit = Item.t -> unit
 
 type t = {
-  on_item : input:int -> Item.t -> emit:emit -> unit;
-  on_batch : (input:int -> Batch.t -> emit:emit -> unit) option;
-      (** Vectorized path: consume a whole batch in one call. Must emit
-          exactly what feeding the batch's items to [on_item] one at a
-          time would emit — {!apply_batch} falls back to doing just that
-          when absent, so exotic operators keep working untouched. *)
+  on_tuple : input:int -> Value.t array -> emit:emit -> unit;
+  on_batch_end : emit:emit -> unit;
+  on_ctrl : input:int -> Item.t -> emit:emit -> unit;
+      (** Never receives an [Item.Tuple]: a batch's control position
+          holds only punctuation, [Flush], [Eof], [Error] or [Gap]. *)
   blocked_input : unit -> int option;
   buffered : unit -> int;  (** items of internal state, for measurement *)
   reset : (unit -> unit) option;
@@ -28,13 +39,3 @@ type t = {
           [None] marks the operator as stateful-unrestartable: a crash
           poisons it instead. *)
 }
-
-val apply_batch : t -> input:int -> Batch.t -> emit:emit -> unit
-(** Dispatch a batch through [on_batch], or iterate [on_item] over its
-    items when the operator has no batch implementation. *)
-
-val stateless : (Value.t array -> emit:emit -> unit) -> n_inputs:int -> t
-(** Wrap a per-tuple function into an operator that forwards punctuation
-    unchanged (valid only when input and output schemas share field
-    positions for ordered attributes) and handles EOF counting over
-    [n_inputs]. Processes batches in a tight per-tuple loop. *)

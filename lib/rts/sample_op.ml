@@ -5,31 +5,24 @@ let make ?dropped ~rate ~seed () =
   if rate < 0.0 || rate > 1.0 then invalid_arg "Sample_op.make: rate must be in [0,1]";
   let rng = Prng.create seed in
   let done_ = ref false in
-  let on_item ~input:_ item ~emit =
+  let on_tuple ~input:_ values ~emit =
+    if Prng.float rng 1.0 < rate then emit (Item.Tuple values)
+    else match dropped with Some c -> Metrics.Counter.incr c | None -> ()
+  in
+  let on_ctrl ~input:_ item ~emit =
     match item with
-    | Item.Tuple _ ->
-        if Prng.float rng 1.0 < rate then emit item
-        else ( match dropped with Some c -> Metrics.Counter.incr c | None -> ())
     | Item.Punct _ | Item.Flush | Item.Error _ | Item.Gap _ -> emit item
     | Item.Eof ->
         if not !done_ then begin
           done_ := true;
           emit Item.Eof
         end
-  in
-  (* The PRNG draws in tuple order, so the batched loop keeps the exact
-     per-tuple keep/drop sequence. *)
-  let on_batch ~input batch ~emit =
-    Array.iter
-      (fun values ->
-        if Prng.float rng 1.0 < rate then emit (Item.Tuple values)
-        else match dropped with Some c -> Metrics.Counter.incr c | None -> ())
-      (Batch.tuples batch);
-    match Batch.ctrl batch with Some ctrl -> on_item ~input ctrl ~emit | None -> ()
+    | Item.Tuple _ -> ()
   in
   {
-    Operator.on_item;
-    on_batch = Some on_batch;
+    Operator.on_tuple;
+    on_batch_end = (fun ~emit:_ -> ());
+    on_ctrl;
     blocked_input = (fun () -> None);
     buffered = (fun () -> 0);
     reset = None;

@@ -3,7 +3,7 @@ module Metrics = Gigascope_obs.Metrics
 let make ?rejected ?pred ~project ~punct_map () =
   let done_ = ref false in
   let reject () = match rejected with Some c -> Metrics.Counter.incr c | None -> () in
-  let on_tuple values ~emit =
+  let on_tuple ~input:_ values ~emit =
     let pass = match pred with None -> true | Some p -> p values in
     if pass then
       match project values with
@@ -11,9 +11,8 @@ let make ?rejected ?pred ~project ~punct_map () =
       | None -> reject ()
     else reject ()
   in
-  let on_item ~input:_ item ~emit =
+  let on_ctrl ~input:_ item ~emit =
     match item with
-    | Item.Tuple values -> on_tuple values ~emit
     | Item.Punct bounds ->
         let translated =
           List.filter_map
@@ -22,26 +21,18 @@ let make ?rejected ?pred ~project ~punct_map () =
             bounds
         in
         if translated <> [] then emit (Item.Punct translated)
-    | Item.Flush -> emit Item.Flush
-    | (Item.Error _ | Item.Gap _) as ctrl -> emit ctrl
+    | (Item.Flush | Item.Error _ | Item.Gap _) as ctrl -> emit ctrl
     | Item.Eof ->
         if not !done_ then begin
           done_ := true;
           emit Item.Eof
         end
-  in
-  (* The hot path of the plane: one dispatch filters and projects a whole
-     run of tuples. *)
-  let on_batch ~input batch ~emit =
-    let tuples = Batch.tuples batch in
-    for i = 0 to Array.length tuples - 1 do
-      on_tuple tuples.(i) ~emit
-    done;
-    match Batch.ctrl batch with Some ctrl -> on_item ~input ctrl ~emit | None -> ()
+    | Item.Tuple _ -> ()
   in
   {
-    Operator.on_item;
-    on_batch = Some on_batch;
+    Operator.on_tuple;
+    on_batch_end = (fun ~emit:_ -> ());
+    on_ctrl;
     blocked_input = (fun () -> None);
     buffered = (fun () -> 0);
     reset = Some (fun () -> ());

@@ -122,19 +122,8 @@ let counting_source n =
   }
 
 let passthrough ~restartable =
-  if restartable then Rts.Operator.stateless (fun row ~emit -> emit (Item.Tuple row)) ~n_inputs:1
-  else
-    {
-      Rts.Operator.on_item =
-        (fun ~input:_ item ~emit ->
-          match item with
-          | Item.Tuple _ | Item.Eof | Item.Punct _ | Item.Flush | Item.Error _ | Item.Gap _ ->
-              emit item);
-      on_batch = None;
-      blocked_input = (fun () -> None);
-      buffered = (fun () -> 0);
-      reset = None;
-    }
+  let op = Rts.Select_op.make ~project:Option.some ~punct_map:[ (0, 0) ] () in
+  if restartable then op else { op with Rts.Operator.reset = None }
 
 (* src -> op -> collected items; returns the manager, the collector and
    the source node (for shed accounting) *)
@@ -384,12 +373,13 @@ let test_shard_merge_gap_conserved () =
   let op = Rts.Merge_op.op merge in
   let out = ref [] in
   let emit i = out := i :: !out in
-  op.Rts.Operator.on_item ~input:0 (Item.Tuple [| Value.Int 1 |]) ~emit;
-  op.Rts.Operator.on_item ~input:1 (Item.Tuple [| Value.Int 2 |]) ~emit;
-  op.Rts.Operator.on_item ~input:0 (Item.Gap 7) ~emit;
-  op.Rts.Operator.on_item ~input:1 (Item.Gap (-1)) ~emit;
-  op.Rts.Operator.on_item ~input:0 Item.Eof ~emit;
-  op.Rts.Operator.on_item ~input:1 Item.Eof ~emit;
+  let feed input item = Rts.Node.feed op ~input (Rts.Batch.of_item item) ~emit in
+  feed 0 (Item.Tuple [| Value.Int 1 |]);
+  feed 1 (Item.Tuple [| Value.Int 2 |]);
+  feed 0 (Item.Gap 7);
+  feed 1 (Item.Gap (-1));
+  feed 0 Item.Eof;
+  feed 1 Item.Eof;
   let emitted = List.rev !out in
   check
     Alcotest.(list int)
@@ -411,9 +401,9 @@ let test_shed_conserves_tuples () =
   | Error e -> Alcotest.fail e);
   let items = ref [] in
   let rec drain () =
-    match Rts.Channel.pop chan with
-    | Some it ->
-        items := it :: !items;
+    match Rts.Channel.pop_batch chan with
+    | Some batch ->
+        Rts.Batch.iter batch (fun it -> items := it :: !items);
         drain ()
     | None -> ()
   in

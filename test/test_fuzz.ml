@@ -180,10 +180,12 @@ let xchannel_fuzz =
             let acc = ref [] in
             let continue = ref true in
             while !continue do
-              (match Rts.Channel.pop chan with
-              | Some (Rts.Item.Tuple [| Rts.Value.Int v |]) -> acc := v :: !acc
-              | Some Rts.Item.Eof -> continue := false
-              | Some _ -> ()
+              (match Rts.Channel.pop_batch chan with
+              | Some batch ->
+                  Rts.Batch.iter batch (function
+                    | Rts.Item.Tuple [| Rts.Value.Int v |] -> acc := v :: !acc
+                    | Rts.Item.Eof -> continue := false
+                    | _ -> ())
               | None ->
                   if Atomic.get producer_done && Rts.Channel.is_empty chan then
                     continue := false
@@ -310,7 +312,10 @@ let shard_count_differential =
 
 (* Reunification-merge reorder fuzz: adversarially skewed inputs — one
    far ahead, one dribbling, random punctuation — through a bare
-   Merge_op with a forwarded monotone field. The merge's two ordering
+   Merge_op with a forwarded monotone field. Each input arrives in
+   random-length runs, one batch per run, a run sealed by its
+   punctuation or now and then by a Gap. The output must equal that of
+   the same items delivered one per batch, and the merge's two ordering
    properties must hold however the inputs interleave: emitted tuples
    globally sorted on the merge attribute (and an exact multiset of the
    inputs), and every published punctuation bound firm — no later tuple
@@ -330,35 +335,46 @@ let merge_reorder_fuzz =
             else Rts.Item.Tuple [| Rts.Value.Int !ts; Rts.Value.Int i; Rts.Value.Int j |])
       in
       let inputs = Array.init n_inputs mk in
-      let merge =
-        Rts.Merge_op.make
-          ~forward:[ (2, Rts.Order_prop.Asc) ]
-          { Rts.Merge_op.n_inputs; ordered_idx = 0; direction = Rts.Order_prop.Asc }
-      in
-      let op = Rts.Merge_op.op merge in
-      let out = ref [] in
-      let emit i = out := i :: !out in
+      (* the delivery schedule: (input, batch) in arrival order, each
+         batch a run of up to 8 of the input's items *)
       let queues = Array.map (fun l -> ref l) inputs in
-      let rec drive () =
-        let live =
-          List.filter (fun i -> !(queues.(i)) <> []) (List.init n_inputs Fun.id)
-        in
-        match live with
-        | [] -> ()
+      let rec run_of q acc n =
+        match !q with
+        | Rts.Item.Tuple row :: rest when n > 0 ->
+            q := rest;
+            run_of q (row :: acc) (n - 1)
+        | (Rts.Item.Punct _ as ctrl) :: rest when n > 0 ->
+            q := rest;
+            Rts.Batch.make (Array.of_list (List.rev acc)) (Some ctrl)
         | _ ->
-            let i = List.nth live (Prng.int rng (List.length live)) in
-            (match !(queues.(i)) with
-            | it :: rest ->
-                queues.(i) := rest;
-                op.Rts.Operator.on_item ~input:i it ~emit
-            | [] -> ());
-            drive ()
+            let gap = if Prng.int rng 5 = 0 then Some (Rts.Item.Gap (1 + Prng.int rng 9)) else None in
+            Rts.Batch.make (Array.of_list (List.rev acc)) gap
       in
-      drive ();
-      for i = 0 to n_inputs - 1 do
-        op.Rts.Operator.on_item ~input:i Rts.Item.Eof ~emit
-      done;
-      let emitted = List.rev !out in
+      let rec schedule acc =
+        match List.filter (fun i -> !(queues.(i)) <> []) (List.init n_inputs Fun.id) with
+        | [] -> List.rev_append acc (List.init n_inputs (fun i -> (i, Rts.Batch.of_item Rts.Item.Eof)))
+        | live ->
+            let i = List.nth live (Prng.int rng (List.length live)) in
+            schedule ((i, run_of queues.(i) [] (1 + Prng.int rng 8)) :: acc)
+      in
+      let schedule = schedule [] in
+      let deliver_all feed =
+        let op =
+          Rts.Merge_op.op
+            (Rts.Merge_op.make
+               ~forward:[ (2, Rts.Order_prop.Asc) ]
+               { Rts.Merge_op.n_inputs; ordered_idx = 0; direction = Rts.Order_prop.Asc })
+        in
+        let out = ref [] in
+        let emit i = out := i :: !out in
+        List.iter (fun (input, batch) -> feed op ~input batch ~emit) schedule;
+        List.rev !out
+      in
+      let emitted = deliver_all Rts.Node.feed in
+      let singles =
+        deliver_all (fun op ~input batch ~emit ->
+            Rts.Batch.iter batch (fun item -> Rts.Node.feed op ~input (Rts.Batch.of_item item) ~emit))
+      in
       let tuple_key = function
         | Rts.Item.Tuple [| Rts.Value.Int a; Rts.Value.Int b; Rts.Value.Int c |] ->
             Some (a, b, c)
@@ -397,9 +413,10 @@ let merge_reorder_fuzz =
             | _ -> true)
           emitted
       in
-      if not (sorted && conserved && firm) then
-        QCheck.Test.fail_reportf "inputs=%d sorted=%b conserved=%b firm=%b" n_inputs
-          sorted conserved firm
+      let batch_invariant = emitted = singles in
+      if not (sorted && conserved && firm && batch_invariant) then
+        QCheck.Test.fail_reportf "inputs=%d sorted=%b conserved=%b firm=%b batch-invariant=%b"
+          n_inputs sorted conserved firm batch_invariant
       else true)
 
 (* --------------------------- certifier algebra -------------------------- *)

@@ -241,8 +241,9 @@ let test_wedge_detected () =
     ignore (Result.get_ok (Rts.Manager.add_source mgr ~name:"src" ~schema source));
     let stuck =
       {
-        Rts.Operator.on_item = (fun ~input:_ _ ~emit:_ -> ());
-        on_batch = None;
+        Rts.Operator.on_tuple = (fun ~input:_ _ ~emit:_ -> ());
+        on_batch_end = (fun ~emit:_ -> ());
+        on_ctrl = (fun ~input:_ _ ~emit:_ -> ());
         blocked_input = (fun () -> None);
         buffered = (fun () -> 0);
         reset = None;
@@ -358,8 +359,9 @@ let one_hfta_manager op =
 
 let passthrough =
   {
-    Rts.Operator.on_item = (fun ~input:_ item ~emit -> emit item);
-    on_batch = None;
+    Rts.Operator.on_tuple = (fun ~input:_ row ~emit -> emit (Rts.Item.Tuple row));
+    on_batch_end = (fun ~emit:_ -> ());
+    on_ctrl = (fun ~input:_ item ~emit -> emit item);
     blocked_input = (fun () -> None);
     buffered = (fun () -> 0);
     reset = None;
@@ -391,7 +393,7 @@ let test_on_round_forces_one_domain () =
 let test_crash_is_error () =
   List.iter
     (fun domains ->
-      let crash = { passthrough with Rts.Operator.on_item = (fun ~input:_ _ ~emit:_ -> failwith "boom") } in
+      let crash = { passthrough with Rts.Operator.on_tuple = (fun ~input:_ _ ~emit:_ -> failwith "boom") } in
       match Rts.Scheduler.run ~domains (one_hfta_manager crash) with
       | Ok _ -> Alcotest.fail (Printf.sprintf "crash not reported (domains=%d)" domains)
       | Error e ->

@@ -16,11 +16,15 @@ let qtest ?(count = 200) name gen prop = QCheck_alcotest.to_alcotest (QCheck.Tes
 
 let vint i = Value.Int i
 
+(* hand an operator one item, as a singleton batch through the loop
+   Node.step_inputs runs *)
+let feed op ~input item ~emit = Rts.Node.feed op ~input (Rts.Batch.of_item item) ~emit
+
 (* run an operator over a list of items, collecting emissions *)
 let run_op ?(input = 0) op items =
   let out = ref [] in
   let emit item = out := item :: !out in
-  List.iter (fun item -> op.Rts.Operator.on_item ~input item ~emit) items;
+  List.iter (fun item -> feed op ~input item ~emit) items;
   List.rev !out
 
 let tuples items = List.filter_map (function Item.Tuple t -> Some t | _ -> None) items
@@ -670,7 +674,7 @@ let merge_outputs_ordered =
       let out = ref [] in
       let emit i = out := i :: !out in
       let q0 = ref s0 and q1 = ref s1 in
-      let deliver input row = op.Rts.Operator.on_item ~input (Item.Tuple row) ~emit in
+      let deliver input row = feed op ~input (Item.Tuple row) ~emit in
       let rec go () =
         match (!q0, !q1) with
         | [], [] -> ()
@@ -688,8 +692,8 @@ let merge_outputs_ordered =
             go ()
       in
       go ();
-      op.Rts.Operator.on_item ~input:0 Item.Eof ~emit;
-      op.Rts.Operator.on_item ~input:1 Item.Eof ~emit;
+      feed op ~input:0 Item.Eof ~emit;
+      feed op ~input:1 Item.Eof ~emit;
       let ts_list =
         List.filter_map
           (function
@@ -704,11 +708,11 @@ let test_merge_blocked_input_reported () =
   let merge = Rts.Merge_op.make { Rts.Merge_op.n_inputs = 2; ordered_idx = 0; direction = Order_prop.Asc } in
   let op = Rts.Merge_op.op merge in
   let emit _ = () in
-  op.Rts.Operator.on_item ~input:0 (Item.Tuple [| vint 5 |]) ~emit;
+  feed op ~input:0 (Item.Tuple [| vint 5 |]) ~emit;
   check Alcotest.(option int) "blocked on silent input 1" (Some 1)
     (op.Rts.Operator.blocked_input ());
   (* a punctuation unblocks without a tuple *)
-  op.Rts.Operator.on_item ~input:1 (Item.Punct [(0, vint 10)]) ~emit;
+  feed op ~input:1 (Item.Punct [(0, vint 10)]) ~emit;
   check Alcotest.(option int) "punct unblocked" None (op.Rts.Operator.blocked_input ())
 
 let test_merge_punct_advances () =
@@ -716,9 +720,9 @@ let test_merge_punct_advances () =
   let op = Rts.Merge_op.op merge in
   let out = ref [] in
   let emit i = out := i :: !out in
-  op.Rts.Operator.on_item ~input:0 (Item.Tuple [| vint 5 |]) ~emit;
+  feed op ~input:0 (Item.Tuple [| vint 5 |]) ~emit;
   check Alcotest.int "held back" 0 (List.length !out);
-  op.Rts.Operator.on_item ~input:1 (Item.Punct [(0, vint 7)]) ~emit;
+  feed op ~input:1 (Item.Punct [(0, vint 7)]) ~emit;
   check Alcotest.bool "tuple released by punct" true
     (List.exists (function Item.Tuple [| Value.Int 5 |] -> true | _ -> false) !out)
 
@@ -727,11 +731,47 @@ let test_merge_eof_drains () =
   let op = Rts.Merge_op.op merge in
   let out = ref [] in
   let emit i = out := i :: !out in
-  op.Rts.Operator.on_item ~input:0 (Item.Tuple [| vint 5 |]) ~emit;
-  op.Rts.Operator.on_item ~input:1 Item.Eof ~emit;
-  op.Rts.Operator.on_item ~input:0 Item.Eof ~emit;
+  feed op ~input:0 (Item.Tuple [| vint 5 |]) ~emit;
+  feed op ~input:1 Item.Eof ~emit;
+  feed op ~input:0 Item.Eof ~emit;
   check Alcotest.bool "drained and eof" true
     (match List.rev !out with [Item.Tuple _; Item.Eof] -> true | _ -> false)
+
+(* A Gap sealing a batch must leave after that batch's tuples, as it does
+   when the same items arrive one per batch. [gap_sealed_runs] feeds
+   [rows] on input 0 both ways, after [prelude], and returns the two
+   outputs: (one batch sealed by Gap 3, one item per batch). *)
+let gap_sealed_runs make ~prelude rows =
+  let run deliver =
+    let op = make () in
+    let out = ref [] in
+    let emit i = out := i :: !out in
+    List.iter (fun (input, item) -> feed op ~input item ~emit) prelude;
+    deliver op ~emit;
+    List.rev !out
+  in
+  let batched =
+    run (fun op ~emit ->
+        Rts.Node.feed op ~input:0 (Rts.Batch.make (Array.of_list rows) (Some (Item.Gap 3))) ~emit)
+  in
+  let singles =
+    run (fun op ~emit ->
+        List.iter (fun row -> feed op ~input:0 (Item.Tuple row) ~emit) rows;
+        feed op ~input:0 (Item.Gap 3) ~emit)
+  in
+  (batched, singles)
+
+let test_merge_gap_after_batch_tuples () =
+  let make () =
+    Rts.Merge_op.op
+      (Rts.Merge_op.make { Rts.Merge_op.n_inputs = 2; ordered_idx = 0; direction = Order_prop.Asc })
+  in
+  let batched, singles =
+    gap_sealed_runs make ~prelude:[ (1, Item.Eof) ] [ [| vint 1 |]; [| vint 2 |] ]
+  in
+  check Alcotest.bool "tuple 1; tuple 2; gap 3" true
+    (batched = [ Item.Tuple [| vint 1 |]; Item.Tuple [| vint 2 |]; Item.Gap 3 ]);
+  check Alcotest.bool "same as one item per batch" true (batched = singles)
 
 (* -------------------------------- Join ---------------------------------- *)
 
@@ -768,9 +808,9 @@ let join_matches_nested_loop =
         List.map (fun r -> (0, r)) left @ List.map (fun r -> (1, r)) right
         |> List.stable_sort (fun (_, a) (_, b) -> Value.compare a.(0) b.(0))
       in
-      List.iter (fun (input, row) -> op.Rts.Operator.on_item ~input (Item.Tuple row) ~emit) tagged;
-      op.Rts.Operator.on_item ~input:0 Item.Eof ~emit;
-      op.Rts.Operator.on_item ~input:1 Item.Eof ~emit;
+      List.iter (fun (input, row) -> feed op ~input (Item.Tuple row) ~emit) tagged;
+      feed op ~input:0 Item.Eof ~emit;
+      feed op ~input:1 Item.Eof ~emit;
       let got =
         List.filter_map (function Item.Tuple t -> Some (Array.to_list t) | _ -> None) !out
         |> List.sort compare
@@ -816,16 +856,16 @@ let test_join_output_modes () =
     let out = ref [] in
     let emit i = out := i :: !out in
     List.iter
-      (fun rt -> op.Rts.Operator.on_item ~input:1 (Item.Tuple [| vint rt |]) ~emit)
+      (fun rt -> feed op ~input:1 (Item.Tuple [| vint rt |]) ~emit)
       [3; 4; 5; 6];
     (* left side arrives late and slightly jumbled within its band *)
-    op.Rts.Operator.on_item ~input:0 (Item.Tuple [| vint 5 |]) ~emit;
-    op.Rts.Operator.on_item ~input:0 (Item.Tuple [| vint 5 |]) ~emit;
+    feed op ~input:0 (Item.Tuple [| vint 5 |]) ~emit;
+    feed op ~input:0 (Item.Tuple [| vint 5 |]) ~emit;
     (* a punctuation instead of the straggler: bound jumps forward *)
-    op.Rts.Operator.on_item ~input:0 (Item.Punct [(0, vint 9)]) ~emit;
-    op.Rts.Operator.on_item ~input:1 (Item.Punct [(0, vint 9)]) ~emit;
-    op.Rts.Operator.on_item ~input:0 Item.Eof ~emit;
-    op.Rts.Operator.on_item ~input:1 Item.Eof ~emit;
+    feed op ~input:0 (Item.Punct [(0, vint 9)]) ~emit;
+    feed op ~input:1 (Item.Punct [(0, vint 9)]) ~emit;
+    feed op ~input:0 Item.Eof ~emit;
+    feed op ~input:1 Item.Eof ~emit;
     List.filter_map
       (function
         | Item.Tuple t -> ( match t.(0) with Value.Int v -> Some v | _ -> None)
@@ -872,9 +912,9 @@ let join_ordered_mode_sorted =
         List.map (fun r -> (0, r)) left @ List.map (fun r -> (1, r)) right
         |> List.stable_sort (fun (_, a) (_, b) -> Value.compare a.(0) b.(0))
       in
-      List.iter (fun (input, row) -> op.Rts.Operator.on_item ~input (Item.Tuple row) ~emit) tagged;
-      op.Rts.Operator.on_item ~input:0 Item.Eof ~emit;
-      op.Rts.Operator.on_item ~input:1 Item.Eof ~emit;
+      List.iter (fun (input, row) -> feed op ~input (Item.Tuple row) ~emit) tagged;
+      feed op ~input:0 Item.Eof ~emit;
+      feed op ~input:1 Item.Eof ~emit;
       let left_ts =
         List.filter_map
           (function
@@ -902,10 +942,34 @@ let test_join_purges_state () =
   let op = Rts.Join_op.op join in
   let emit _ = () in
   for i = 1 to 100 do
-    op.Rts.Operator.on_item ~input:0 (Item.Tuple [| vint i |]) ~emit;
-    op.Rts.Operator.on_item ~input:1 (Item.Tuple [| vint i |]) ~emit
+    feed op ~input:0 (Item.Tuple [| vint i |]) ~emit;
+    feed op ~input:1 (Item.Tuple [| vint i |]) ~emit
   done;
   check Alcotest.bool "window bounds buffered state" true (Rts.Join_op.buffered join <= 4)
+
+let test_join_gap_after_batch_tuples () =
+  (* right holds 1 and 2 and is at Eof; left 1 then 2 pairs with both,
+     and left 2 releases left 1's pairs *)
+  let make () =
+    Rts.Join_op.op
+      (Rts.Join_op.make
+         {
+           Rts.Join_op.output_mode = Rts.Join_op.Ordered_output;
+           left_idx = 0;
+           right_idx = 0;
+           lo = -4.0;
+           hi = 4.0;
+           pred = (fun _ _ -> true);
+           assemble = (fun l r -> Some [| l.(0); r.(0) |]);
+           left_out = Some 0;
+           right_out = Some 1;
+         })
+  in
+  let prelude = [ (1, Item.Tuple [| vint 1 |]); (1, Item.Tuple [| vint 2 |]); (1, Item.Eof) ] in
+  let batched, singles = gap_sealed_runs make ~prelude [ [| vint 1 |]; [| vint 2 |] ] in
+  check Alcotest.bool "pair (1,1); pair (1,2); gap 3" true
+    (batched = [ Item.Tuple [| vint 1; vint 1 |]; Item.Tuple [| vint 1; vint 2 |]; Item.Gap 3 ]);
+  check Alcotest.bool "same as one item per batch" true (batched = singles)
 
 let test_join_bad_window () =
   Alcotest.check_raises "lo > hi rejected" (Invalid_argument "Join_op.make: empty window (lo > hi)")
@@ -954,12 +1018,12 @@ let test_merge_descending () =
   let op = Rts.Merge_op.op merge in
   let out = ref [] in
   let emit i = out := i :: !out in
-  op.Rts.Operator.on_item ~input:0 (Item.Tuple [| vint 9 |]) ~emit;
-  op.Rts.Operator.on_item ~input:1 (Item.Tuple [| vint 8 |]) ~emit;
-  op.Rts.Operator.on_item ~input:0 (Item.Tuple [| vint 5 |]) ~emit;
-  op.Rts.Operator.on_item ~input:1 (Item.Tuple [| vint 3 |]) ~emit;
-  op.Rts.Operator.on_item ~input:0 Item.Eof ~emit;
-  op.Rts.Operator.on_item ~input:1 Item.Eof ~emit;
+  feed op ~input:0 (Item.Tuple [| vint 9 |]) ~emit;
+  feed op ~input:1 (Item.Tuple [| vint 8 |]) ~emit;
+  feed op ~input:0 (Item.Tuple [| vint 5 |]) ~emit;
+  feed op ~input:1 (Item.Tuple [| vint 3 |]) ~emit;
+  feed op ~input:0 Item.Eof ~emit;
+  feed op ~input:1 Item.Eof ~emit;
   let ts =
     List.filter_map
       (function Item.Tuple t -> (match t.(0) with Value.Int v -> Some v | _ -> None) | _ -> None)
@@ -1166,7 +1230,9 @@ let test_manager_lfta_input_restriction () =
 
 let drain_channel chan =
   let rec go acc =
-    match Rts.Channel.pop chan with Some item -> go (item :: acc) | None -> List.rev acc
+    match Rts.Channel.pop_batch chan with
+    | Some batch -> go (List.rev_append (Rts.Batch.to_items batch) acc)
+    | None -> List.rev acc
   in
   go []
 
@@ -1192,32 +1258,6 @@ let test_promotion_carries_buffer () =
   check Alcotest.bool "buffered items carry over in order" true (got = items);
   check Alcotest.int "no drops from the switch" 0 (Rts.Channel.drops chan)
 
-let test_promotion_partial_batch () =
-  (* a switch mid-stream, after a batch was partially consumed: the
-     consumer-side remainder must still come out ahead of the ring *)
-  let chan = Rts.Channel.create ~capacity:16 ~name:"edge" () in
-  let batch =
-    Rts.Batch.make
-      [| [| vint 0; vint 0 |]; [| vint 1; vint 0 |]; [| vint 2; vint 0 |] |]
-      (Some (Item.Punct [(0, vint 2)]))
-  in
-  assert (Rts.Channel.push_batch chan batch);
-  assert (Rts.Channel.push chan (Item.Tuple [| vint 3; vint 0 |]));
-  (match Rts.Channel.pop chan with
-  | Some (Item.Tuple [| Value.Int 0; _ |]) -> ()
-  | _ -> Alcotest.fail "first tuple expected before promotion");
-  ignore (promote chan);
-  let got = drain_channel chan in
-  let expected =
-    [
-      Item.Tuple [| vint 1; vint 0 |];
-      Item.Tuple [| vint 2; vint 0 |];
-      Item.Punct [(0, vint 2)];
-      Item.Tuple [| vint 3; vint 0 |];
-    ]
-  in
-  check Alcotest.bool "remainder then ring, in order" true (got = expected)
-
 let test_promotion_idempotent () =
   (* a second switch mid-stream reports that the channel already blocks
      and disturbs nothing *)
@@ -1225,8 +1265,8 @@ let test_promotion_idempotent () =
   assert (Rts.Channel.push chan (Item.Tuple [| vint 0; vint 0 |]));
   check Alcotest.bool "first switch" true (promote chan);
   assert (Rts.Channel.push chan (Item.Tuple [| vint 1; vint 0 |]));
-  (match Rts.Channel.pop chan with
-  | Some (Item.Tuple [| Value.Int 0; _ |]) -> ()
+  (match Option.map Rts.Batch.to_items (Rts.Channel.pop_batch chan) with
+  | Some [ Item.Tuple [| Value.Int 0; _ |] ] -> ()
   | _ -> Alcotest.fail "first tuple expected between promotions");
   check Alcotest.bool "second switch is not a first" false (promote chan);
   let got = drain_channel chan in
@@ -1244,7 +1284,7 @@ let test_promotion_capacity_clamp () =
   done;
   ignore (promote ~limit:2 chan);
   check Alcotest.int "every buffered item kept" 5 (Rts.Channel.length chan);
-  ignore (Rts.Channel.pop chan);
+  ignore (Rts.Channel.pop_batch chan);
   let pushed = Atomic.make false in
   let producer =
     Thread.create
@@ -1269,11 +1309,10 @@ let test_channel_depth_in_items () =
     assert (Rts.Channel.push_batch chan (batch i))
   done;
   check Alcotest.int "depth in items" 12 (Rts.Channel.length chan);
-  ignore (Rts.Channel.pop chan);
-  check Alcotest.int "a popped item leaves the depth" 11 (Rts.Channel.length chan);
   ignore (Rts.Channel.pop_batch chan);
+  check Alcotest.int "a popped batch leaves the depth" 8 (Rts.Channel.length chan);
   assert (Rts.Channel.push_batch chan (batch 3));
-  check Alcotest.int "depth after the remainder left" 12 (Rts.Channel.length chan);
+  check Alcotest.int "depth after a push" 12 (Rts.Channel.length chan);
   check Alcotest.int "high_water in items" 12 (Rts.Channel.high_water chan);
   let reg = Gigascope_obs.Metrics.create () in
   Rts.Channel.register_metrics chan reg ~prefix:"c";
@@ -1291,9 +1330,8 @@ let test_scheduler_end_to_end () =
   let chan = Result.get_ok (Rts.Manager.subscribe mgr "q") in
   (match Rts.Scheduler.run mgr with Ok _ -> () | Error e -> Alcotest.fail e);
   let rec drain acc =
-    match Rts.Channel.pop chan with
-    | Some (Item.Tuple _) -> drain (acc + 1)
-    | Some _ -> drain acc
+    match Rts.Channel.pop_batch chan with
+    | Some batch -> drain (acc + Rts.Batch.n_tuples batch)
     | None -> acc
   in
   check Alcotest.int "all tuples arrive at subscriber" 100 (drain 0)
@@ -1425,6 +1463,8 @@ let () =
           Alcotest.test_case "blocked input reported" `Quick test_merge_blocked_input_reported;
           Alcotest.test_case "punct advances" `Quick test_merge_punct_advances;
           Alcotest.test_case "eof drains" `Quick test_merge_eof_drains;
+          Alcotest.test_case "gap after the batch's tuples" `Quick
+            test_merge_gap_after_batch_tuples;
           Alcotest.test_case "descending merge" `Quick test_merge_descending;
         ] );
       ( "join",
@@ -1433,6 +1473,8 @@ let () =
           Alcotest.test_case "output modes" `Quick test_join_output_modes;
           join_ordered_mode_sorted;
           Alcotest.test_case "purges state" `Quick test_join_purges_state;
+          Alcotest.test_case "gap after the batch's tuples" `Quick
+            test_join_gap_after_batch_tuples;
           Alcotest.test_case "bad window" `Quick test_join_bad_window;
         ] );
       ( "md-join",
@@ -1445,8 +1487,6 @@ let () =
       ( "channel",
         [
           Alcotest.test_case "promotion carries buffer" `Quick test_promotion_carries_buffer;
-          Alcotest.test_case "promotion carries partial batch" `Quick
-            test_promotion_partial_batch;
           Alcotest.test_case "promotion idempotent" `Quick test_promotion_idempotent;
           Alcotest.test_case "promotion capacity clamp" `Quick test_promotion_capacity_clamp;
           Alcotest.test_case "depth and high water in items" `Quick test_channel_depth_in_items;
