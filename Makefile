@@ -29,16 +29,20 @@ test:
 # failure model's core claim is "never hangs", and CI enforces it by
 # turning any wedge into a loud nonzero exit instead of a stuck job.
 #
-# Before the knob passes, the benchmark's smoke run checks all four
-# bench/perf workloads' outputs against their reference computation
-# (the benchmark refuses to run with any GIGASCOPE_* variable set, so
-# it cannot join the passes below).
+# Before the knob passes, a --quick run of the benchmark checks all
+# four bench/perf workloads' outputs against their reference
+# computation (the benchmark refuses to run with any GIGASCOPE_*
+# variable set, so it cannot join the passes below), and the
+# allocation gate (bench/alloc_gate.sh) fails if a workload named in
+# bench/alloc_baseline.txt allocates more than 2% more words per
+# packet than the value committed there.
 CI_TIMEOUT ?= 600
 CHAOS_FAULTS = seed=11,stall=tcpdest0->portcounts:2:2,delay=5:2
 ci:
 	dune build @all
 	timeout $(CI_TIMEOUT) dune runtest
-	timeout $(CI_TIMEOUT) dune build @bench/perf/smoke --force
+	f=$$(mktemp) && timeout $(CI_TIMEOUT) bash bench/perf/run.sh --quick --out "$$f" > /dev/null \
+	  && bash bench/alloc_gate.sh "$$f"; s=$$?; rm -f "$$f"; exit $$s
 	GIGASCOPE_PARALLEL=2 timeout $(CI_TIMEOUT) dune runtest --force
 	GIGASCOPE_BATCH=64 timeout $(CI_TIMEOUT) dune runtest --force
 	GIGASCOPE_PARALLEL=2 GIGASCOPE_BATCH=64 timeout $(CI_TIMEOUT) dune runtest --force

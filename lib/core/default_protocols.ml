@@ -9,51 +9,65 @@ module Ty = Rts.Ty
 module Schema = Rts.Schema
 module Order_prop = Rts.Order_prop
 
+type selection = { fields : int; copy_payload : Value.t array -> bool }
+
 type t = {
   proto_name : string;
   catalog_entry : Gsql.Catalog.protocol;
+  interpret_selected : selection -> Packet.t -> Value.t array option;
   interpret : Packet.t -> Value.t array option;
   clock_fields : (int * (float -> Value.t)) list;
 }
+
+let every_field = { fields = -1; copy_payload = (fun _ -> true) }
+
+let selection_of_fields fields ~copy_payload =
+  { fields = List.fold_left (fun m i -> m lor (1 lsl i)) 0 fields; copy_payload }
 
 let mono = Order_prop.Monotone Order_prop.Asc
 let un = Order_prop.Unordered
 
 let fld name ty order = { Schema.name; ty; order }
 
-(* Transport-level views shared by the interpreters. *)
-type l4_view = {
-  v_src_port : int;
-  v_dst_port : int;
-  v_flags : int;
-  v_seq : int;
-  v_ack : int;
-  v_window : int;
-  v_payload : bytes;
-}
-
-let l4_of pkt =
-  match pkt.Packet.net with
-  | Packet.Non_ip _ -> None
-  | Packet.Ipv4 (_, transport) ->
-      let z = { v_src_port = 0; v_dst_port = 0; v_flags = 0; v_seq = 0; v_ack = 0; v_window = 0; v_payload = Bytes.empty } in
-      Some
-        (match transport with
-        | Packet.Tcp (h, payload) ->
-            {
-              v_src_port = h.P.Tcp.src_port;
-              v_dst_port = h.P.Tcp.dst_port;
-              v_flags = P.Tcp.flags_to_int h.P.Tcp.flags;
-              v_seq = h.P.Tcp.seq;
-              v_ack = h.P.Tcp.ack_seq;
-              v_window = h.P.Tcp.window;
-              v_payload = payload;
-            }
-        | Packet.Udp (h, payload) ->
-            { z with v_src_port = h.P.Udp.src_port; v_dst_port = h.P.Udp.dst_port; v_payload = payload }
-        | Packet.Icmp (_, payload) | Packet.Raw_transport payload -> { z with v_payload = payload })
-
 let time_clock = [(0, fun ts -> Value.Int (int_of_float ts)); (1, fun ts -> Value.Float ts)]
+
+(* The per-field interpretation functions of Section 2.2, one masked
+   interpreter per Protocol: slot [k] is filled only when bit [k] of the
+   selection is set, and stays [Null] otherwise. The payload slot is
+   filled last, and only if [copy_payload] accepts the tuple built so
+   far. Non-TCP transports read as 0 in the TCP-only fields. *)
+let[@inline] has m k = m land (1 lsl k) <> 0
+
+let zero = Value.Int 0
+let ipv4 = Value.Int 4
+
+let transport_payload = function
+  | Packet.Tcp (_, p) | Packet.Udp (_, p) | Packet.Icmp (_, p) | Packet.Raw_transport p -> p
+
+(* the time fields, slots 0 and 1 of every packet Protocol *)
+let fill_time t m (pkt : Packet.t) =
+  if has m 0 then t.(0) <- Value.Int (int_of_float pkt.Packet.ts);
+  if has m 1 then t.(1) <- Value.Float pkt.Packet.ts
+
+(* source and destination ports at [k] and [k + 1] *)
+let fill_ports t m k transport =
+  match transport with
+  | Packet.Tcp (h, _) ->
+      if has m k then t.(k) <- Value.Int h.P.Tcp.src_port;
+      if has m (k + 1) then t.(k + 1) <- Value.Int h.P.Tcp.dst_port
+  | Packet.Udp (h, _) ->
+      if has m k then t.(k) <- Value.Int h.P.Udp.src_port;
+      if has m (k + 1) then t.(k + 1) <- Value.Int h.P.Udp.dst_port
+  | Packet.Icmp _ | Packet.Raw_transport _ ->
+      if has m k then t.(k) <- zero;
+      if has m (k + 1) then t.(k + 1) <- zero
+
+(* data_length at [k], the payload at [k + 1] *)
+let fill_payload t sel k transport =
+  let payload = transport_payload transport in
+  if has sel.fields k then t.(k) <- Value.Int (Bytes.length payload);
+  if has sel.fields (k + 1) && sel.copy_payload t then
+    t.(k + 1) <- Value.Str (Bytes.to_string payload)
 
 let tcp =
   let schema =
@@ -96,37 +110,41 @@ let tcp =
       ("flags", Bpf.Filter.Tcp_flags);
     ]
   in
-  let interpret pkt =
-    match (Packet.ip_header pkt, l4_of pkt) with
-    | Some ip, Some l4 ->
-        Some
-          [|
-            Value.Int (int_of_float pkt.Packet.ts);
-            Value.Float pkt.Packet.ts;
-            Value.Int 4;
-            Value.Int (P.Ipv4.header_len ip);
-            Value.Int ip.P.Ipv4.tos;
-            Value.Int ip.P.Ipv4.total_len;
-            Value.Int ip.P.Ipv4.ident;
-            Value.Int ip.P.Ipv4.ttl;
-            Value.Int ip.P.Ipv4.protocol;
-            Value.Ip ip.P.Ipv4.src;
-            Value.Ip ip.P.Ipv4.dst;
-            Value.Int l4.v_src_port;
-            Value.Int l4.v_dst_port;
-            Value.Int l4.v_flags;
-            Value.Int l4.v_seq;
-            Value.Int l4.v_ack;
-            Value.Int l4.v_window;
-            Value.Int (Bytes.length l4.v_payload);
-            Value.Str (Bytes.to_string l4.v_payload);
-          |]
-    | _ -> None
+  let interpret_selected sel (pkt : Packet.t) =
+    match pkt.Packet.net with
+    | Packet.Non_ip _ -> None
+    | Packet.Ipv4 (ip, transport) ->
+        let m = sel.fields in
+        let t = Array.make 19 Value.Null in
+        fill_time t m pkt;
+        if has m 2 then t.(2) <- ipv4;
+        if has m 3 then t.(3) <- Value.Int (P.Ipv4.header_len ip);
+        if has m 4 then t.(4) <- Value.Int ip.P.Ipv4.tos;
+        if has m 5 then t.(5) <- Value.Int ip.P.Ipv4.total_len;
+        if has m 6 then t.(6) <- Value.Int ip.P.Ipv4.ident;
+        if has m 7 then t.(7) <- Value.Int ip.P.Ipv4.ttl;
+        if has m 8 then t.(8) <- Value.Int ip.P.Ipv4.protocol;
+        if has m 9 then t.(9) <- Value.Ip ip.P.Ipv4.src;
+        if has m 10 then t.(10) <- Value.Ip ip.P.Ipv4.dst;
+        fill_ports t m 11 transport;
+        (match transport with
+        | Packet.Tcp (h, _) ->
+            if has m 13 then t.(13) <- Value.Int (P.Tcp.flags_to_int h.P.Tcp.flags);
+            if has m 14 then t.(14) <- Value.Int h.P.Tcp.seq;
+            if has m 15 then t.(15) <- Value.Int h.P.Tcp.ack_seq;
+            if has m 16 then t.(16) <- Value.Int h.P.Tcp.window
+        | Packet.Udp _ | Packet.Icmp _ | Packet.Raw_transport _ ->
+            for k = 13 to 16 do
+              if has m k then t.(k) <- zero
+            done);
+        fill_payload t sel 17 transport;
+        Some t
   in
   {
     proto_name = "tcp";
     catalog_entry = { Gsql.Catalog.schema; bpf_fields; payload_fields = ["payload"] };
-    interpret;
+    interpret_selected;
+    interpret = interpret_selected every_field;
     clock_fields = time_clock;
   }
 
@@ -160,30 +178,28 @@ let udp =
       ("destport", Bpf.Filter.Dst_port);
     ]
   in
-  let interpret pkt =
-    match (Packet.ip_header pkt, l4_of pkt) with
-    | Some ip, Some l4 ->
-        Some
-          [|
-            Value.Int (int_of_float pkt.Packet.ts);
-            Value.Float pkt.Packet.ts;
-            Value.Int 4;
-            Value.Int ip.P.Ipv4.total_len;
-            Value.Int ip.P.Ipv4.ttl;
-            Value.Int ip.P.Ipv4.protocol;
-            Value.Ip ip.P.Ipv4.src;
-            Value.Ip ip.P.Ipv4.dst;
-            Value.Int l4.v_src_port;
-            Value.Int l4.v_dst_port;
-            Value.Int (Bytes.length l4.v_payload);
-            Value.Str (Bytes.to_string l4.v_payload);
-          |]
-    | _ -> None
+  let interpret_selected sel (pkt : Packet.t) =
+    match pkt.Packet.net with
+    | Packet.Non_ip _ -> None
+    | Packet.Ipv4 (ip, transport) ->
+        let m = sel.fields in
+        let t = Array.make 12 Value.Null in
+        fill_time t m pkt;
+        if has m 2 then t.(2) <- ipv4;
+        if has m 3 then t.(3) <- Value.Int ip.P.Ipv4.total_len;
+        if has m 4 then t.(4) <- Value.Int ip.P.Ipv4.ttl;
+        if has m 5 then t.(5) <- Value.Int ip.P.Ipv4.protocol;
+        if has m 6 then t.(6) <- Value.Ip ip.P.Ipv4.src;
+        if has m 7 then t.(7) <- Value.Ip ip.P.Ipv4.dst;
+        fill_ports t m 8 transport;
+        fill_payload t sel 10 transport;
+        Some t
   in
   {
     proto_name = "udp";
     catalog_entry = { Gsql.Catalog.schema; bpf_fields; payload_fields = ["payload"] };
-    interpret;
+    interpret_selected;
+    interpret = interpret_selected every_field;
     clock_fields = time_clock;
   }
 
@@ -219,31 +235,31 @@ let ip =
       ("destip", Bpf.Filter.Ip_dst);
     ]
   in
-  let interpret pkt =
-    match Packet.ip_header pkt with
-    | Some ip_h ->
-        Some
-          [|
-            Value.Int (int_of_float pkt.Packet.ts);
-            Value.Float pkt.Packet.ts;
-            Value.Int 4;
-            Value.Int (P.Ipv4.header_len ip_h);
-            Value.Int ip_h.P.Ipv4.total_len;
-            Value.Int ip_h.P.Ipv4.ident;
-            Value.Int ip_h.P.Ipv4.frag_offset;
-            Value.Int (if ip_h.P.Ipv4.more_fragments then 1 else 0);
-            Value.Int ip_h.P.Ipv4.ttl;
-            Value.Int ip_h.P.Ipv4.protocol;
-            Value.Ip ip_h.P.Ipv4.src;
-            Value.Ip ip_h.P.Ipv4.dst;
-            Value.Int (Bytes.length (Packet.payload pkt));
-          |]
-    | None -> None
+  let interpret_selected sel (pkt : Packet.t) =
+    match pkt.Packet.net with
+    | Packet.Non_ip _ -> None
+    | Packet.Ipv4 (ip_h, transport) ->
+        let m = sel.fields in
+        let t = Array.make 13 Value.Null in
+        fill_time t m pkt;
+        if has m 2 then t.(2) <- ipv4;
+        if has m 3 then t.(3) <- Value.Int (P.Ipv4.header_len ip_h);
+        if has m 4 then t.(4) <- Value.Int ip_h.P.Ipv4.total_len;
+        if has m 5 then t.(5) <- Value.Int ip_h.P.Ipv4.ident;
+        if has m 6 then t.(6) <- Value.Int ip_h.P.Ipv4.frag_offset;
+        if has m 7 then t.(7) <- (if ip_h.P.Ipv4.more_fragments then Value.Int 1 else zero);
+        if has m 8 then t.(8) <- Value.Int ip_h.P.Ipv4.ttl;
+        if has m 9 then t.(9) <- Value.Int ip_h.P.Ipv4.protocol;
+        if has m 10 then t.(10) <- Value.Ip ip_h.P.Ipv4.src;
+        if has m 11 then t.(11) <- Value.Ip ip_h.P.Ipv4.dst;
+        if has m 12 then t.(12) <- Value.Int (Bytes.length (transport_payload transport));
+        Some t
   in
   {
     proto_name = "ip";
     catalog_entry = { Gsql.Catalog.schema; bpf_fields; payload_fields = [] };
-    interpret;
+    interpret_selected;
+    interpret = interpret_selected every_field;
     clock_fields = time_clock;
   }
 

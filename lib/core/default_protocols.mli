@@ -8,18 +8,45 @@
 
     Note the paper's idiom: the [tcp] protocol interprets {e every} IPv4
     packet (TCP-specific fields are zero elsewhere), which is why queries
-    write [WHERE ipversion = 4 and protocol = 6] explicitly. *)
+    write [WHERE ipversion = 4 and protocol = 6] explicitly.
+
+    Each Protocol has one masked interpreter, {!t.interpret_selected}:
+    an engine source runs it with the union of the fields its LFTAs
+    read and copies a payload only for packets a payload-reading
+    LFTA's guard accepts (DESIGN §23). {!t.interpret} is the same
+    interpreter with every field selected. *)
 
 module Rts = Gigascope_rts
 module Gsql = Gigascope_gsql
 module Packet = Gigascope_packet.Packet
 module Netflow = Gigascope_packet.Netflow
 
+(** Which fields an interpretation fills. Bit [i] of [fields] selects
+    schema field [i]; an unselected slot holds [Value.Null]. The payload
+    field, when selected, is filled last and only if [copy_payload]
+    accepts the tuple built so far, every other selected field filled
+    in. *)
+type selection = {
+  fields : int;
+  copy_payload : Rts.Value.t array -> bool;
+}
+
+val every_field : selection
+(** Every field, payload included. *)
+
+val selection_of_fields : int list -> copy_payload:(Rts.Value.t array -> bool) -> selection
+
 type t = {
   proto_name : string;
   catalog_entry : Gsql.Catalog.protocol;
+  interpret_selected : selection -> Packet.t -> Rts.Value.t array option;
+      (** the Protocol's masked interpreter. A selected field reads
+          exactly as in {!interpret}; [None] exactly when {!interpret}
+          gives [None]. It allocates the tuple, its [Some], the selected
+          fields' values and the payload copy, nothing else. *)
   interpret : Packet.t -> Rts.Value.t array option;
-      (** [None]: the packet is outside this protocol's domain *)
+      (** [interpret_selected every_field]: every field. [None]: the
+          packet is outside this protocol's domain *)
   clock_fields : (int * (float -> Rts.Value.t)) list;
       (** time-derived fields and how a wall-clock reading maps into them —
           what a heartbeat punctuation publishes *)

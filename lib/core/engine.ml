@@ -25,6 +25,24 @@ type iface = {
   mutable nic_configured : bool;
 }
 
+(* What a bound Protocol source interprets (Sections 2.2 and 3): the
+   union of the fields its LFTAs read, and the payload only for packets
+   that one of its payload-reading LFTAs' guards accepts. Each
+   [bind_source] widens it, the way [configure_nic] widens the card. A
+   consumer other than an LFTA (on_tuple, subscribe, a network
+   subscriber) widens it to every field for good. The packet path reads
+   only [sel]; the rest changes under [mu], since a network
+   subscription widens it from a server thread while the engine runs. *)
+type source = {
+  proto : Default_protocols.t;
+  mu : Mutex.t;
+  mutable fields : int list;
+  mutable guards : Gsql.Expr_ir.t list list;  (** one per distinct guard, in bind order *)
+  mutable whole : bool;
+  sel : Default_protocols.selection Atomic.t;
+  payloads : Metrics.Counter.t;  (** payloads copied *)
+}
+
 (* Admission control: what happens when a plan's memory certification
    comes back unbounded. The library default is [Admit_warn] — the
    epoch-less flush-driven aggregation of Section 2.2 is a legitimate
@@ -36,6 +54,7 @@ type t = {
   mgr : Rts.Manager.t;
   catalog : Gsql.Catalog.t;
   interfaces : (string, iface) Hashtbl.t;
+  sources : (string, source) Hashtbl.t;  (** bound Protocol sources, by lowercase name *)
   mutable next_seed : int;
   shards : int;
   default_capacity : int;
@@ -104,6 +123,7 @@ let create ?(default_capacity = 4096) ?shards ?admit () =
     mgr;
     catalog;
     interfaces = Hashtbl.create 8;
+    sources = Hashtbl.create 8;
     next_seed = 0x517;
     shards;
     default_capacity;
@@ -206,13 +226,13 @@ let configure_nic iface (hint : Gsql.Split.nic_hint option) =
   let desired =
     match (iface.capability, hint) with
     | Cap_none, _ | _, None -> Nic.Dumb
-    | Cap_bpf, Some { Gsql.Split.nic_filter; snap_len } ->
+    | Cap_bpf, Some { Gsql.Split.nic_filter; snap_len; _ } ->
         Nic.Filtering
           {
             prog = Option.map (fun f -> Bpf.Filter.compile ~snap_len f) nic_filter;
             snap_len;
           }
-    | Cap_lfta, Some { Gsql.Split.nic_filter; snap_len } ->
+    | Cap_lfta, Some { Gsql.Split.nic_filter; snap_len; _ } ->
         Nic.Programmable
           {
             prog = Option.map (fun f -> Bpf.Filter.compile ~snap_len f) nic_filter;
@@ -225,6 +245,58 @@ let configure_nic iface (hint : Gsql.Split.nic_hint option) =
     iface.nic_configured <- true
   end
 
+(* Any guard accepts: a loop, so the per-packet check allocates no
+   closure. *)
+let rec any_accepts guards tup i =
+  i < Array.length guards && ((Array.unsafe_get guards i) tup || any_accepts guards tup (i + 1))
+
+(* Recompute the selection the packet path reads. Guards read no $param
+   and call nothing (see [Split.nic_hint]), so they compile against an
+   empty parameter table and never change after compilation. *)
+let reselect src =
+  let count_copy () =
+    Metrics.Counter.incr src.payloads;
+    true
+  in
+  let sel =
+    if src.whole then
+      { Default_protocols.every_field with copy_payload = (fun _ -> count_copy ()) }
+    else if List.mem [] src.guards then
+      Default_protocols.selection_of_fields src.fields ~copy_payload:(fun _ -> count_copy ())
+    else
+      let params = Hashtbl.create 0 in
+      let compile g =
+        Result.get_ok (Gsql.Codegen.compile_pred ~params (Option.get (Gsql.Expr_ir.conjoin g)))
+      in
+      let guards = Array.of_list (List.map compile src.guards) in
+      Default_protocols.selection_of_fields src.fields ~copy_payload:(fun tup ->
+          any_accepts guards tup 0 && count_copy ())
+  in
+  Atomic.set src.sel sel
+
+(* Widen what [src] interprets by one LFTA's needs; [None] (no hint)
+   reads every field. *)
+let widen_source src (hint : Gsql.Split.nic_hint option) =
+  Mutex.protect src.mu (fun () ->
+      (match hint with
+      | None -> src.whole <- true
+      | Some h ->
+          src.fields <- List.sort_uniq compare (h.Gsql.Split.fields_needed @ src.fields);
+          Option.iter
+            (fun g ->
+              if not (List.exists (List.equal Gsql.Expr_ir.equal g) src.guards) then
+                src.guards <- src.guards @ [ g ])
+            h.Gsql.Split.payload_guard);
+      reselect src)
+
+let note_direct_consumer t name =
+  match Hashtbl.find_opt t.sources (String.lowercase_ascii name) with
+  | Some src when not src.whole ->
+      Mutex.protect src.mu (fun () ->
+          src.whole <- true;
+          reselect src)
+  | Some _ | None -> ()
+
 let bind_source t ~interface ~protocol ~nic =
   let source_name = interface ^ "." ^ protocol in
   match Rts.Manager.find t.mgr source_name with
@@ -232,6 +304,9 @@ let bind_source t ~interface ~protocol ~nic =
       (match Hashtbl.find_opt t.interfaces (String.lowercase_ascii interface) with
       | Some iface -> configure_nic iface nic
       | None -> ());
+      Option.iter
+        (fun src -> widen_source src nic)
+        (Hashtbl.find_opt t.sources (String.lowercase_ascii source_name));
       Ok source_name
   | None -> (
       match
@@ -242,6 +317,18 @@ let bind_source t ~interface ~protocol ~nic =
       | _, None -> err "no interpretation library for protocol %s" protocol
       | Some iface, Some proto ->
           configure_nic iface nic;
+          let src =
+            {
+              proto;
+              mu = Mutex.create ();
+              fields = [];
+              guards = [];
+              whole = false;
+              sel = Atomic.make Default_protocols.every_field;
+              payloads = Metrics.Counter.make ();
+            }
+          in
+          widen_source src nic;
           let feed = iface.feed_factory () in
           let last_ts = ref nan in
           let rec pull () =
@@ -272,7 +359,7 @@ let bind_source t ~interface ~protocol ~nic =
                 match delivered with
                 | None -> pull ()
                 | Some p -> (
-                    match proto.Default_protocols.interpret p with
+                    match proto.Default_protocols.interpret_selected (Atomic.get src.sel) p with
                     | Some tuple -> Some (Rts.Item.Tuple tuple)
                     | None -> pull ()))
           in
@@ -288,6 +375,10 @@ let bind_source t ~interface ~protocol ~nic =
               ~schema:proto.Default_protocols.catalog_entry.Gsql.Catalog.schema
               { Rts.Node.pull; clock }
           in
+          Hashtbl.replace t.sources (String.lowercase_ascii source_name) src;
+          Metrics.attach_counter (metrics t)
+            (Printf.sprintf "rts.node.%s.payloads" source_name)
+            src.payloads;
           Ok source_name)
 
 let binder t = { Gsql.Codegen.bind_source = (fun ~interface ~protocol ~nic -> bind_source t ~interface ~protocol ~nic) }
@@ -483,9 +574,11 @@ let subscribe t ?capacity name =
             Some (max t.default_capacity (Gsql.Certify.query_burst c + burst_headroom))
         | None -> None)
   in
+  note_direct_consumer t name;
   Rts.Manager.subscribe t.mgr ?capacity name
 
 let on_tuple t name f =
+  note_direct_consumer t name;
   Rts.Manager.on_item t.mgr name (function
     | Rts.Item.Tuple values -> f values
     | Rts.Item.Punct _ | Rts.Item.Flush | Rts.Item.Eof | Rts.Item.Error _ | Rts.Item.Gap _ -> ())
@@ -646,6 +739,38 @@ let memory_summary t =
 let memory_report t =
   String.concat "\n" (List.map (fun (_, cert) -> Gsql.Certify.report cert) t.certs)
 
-let trace_report t = Rts.Manager.trace_report t.mgr ^ shard_report t ^ memory_summary t
+(* One line per bound Protocol source: the fields it interprets and
+   when it copies a payload. *)
+let source_report t =
+  let describe name src =
+    let schema = src.proto.Default_protocols.catalog_entry.Gsql.Catalog.schema in
+    let field_name i = (Rts.Schema.field_at schema i).Rts.Schema.name in
+    let copied = Metrics.Counter.get src.payloads in
+    if src.whole then Printf.sprintf "  %s: every field (read directly), %d payloads copied\n" name copied
+    else
+      let guard g = String.concat " and " (List.map (Gsql.Expr_ir.to_string ~names:field_name) g) in
+      let payload =
+        if src.guards = [] then ""
+        else if List.mem [] src.guards then Printf.sprintf "; payload always, %d copied" copied
+        else
+          Printf.sprintf "; payload when %s, %d copied"
+            (String.concat " or " (List.map guard src.guards))
+            copied
+      in
+      Printf.sprintf "  %s: %s%s\n" name (String.concat ", " (List.map field_name src.fields)) payload
+  in
+  let lines =
+    List.filter_map
+      (fun node ->
+        let name = Rts.Node.name node in
+        Option.map
+          (fun src -> Mutex.protect src.mu (fun () -> describe name src))
+          (Hashtbl.find_opt t.sources (String.lowercase_ascii name)))
+      (Rts.Manager.nodes t.mgr)
+  in
+  if lines = [] then "" else "sources:\n" ^ String.concat "" lines
+
+let trace_report t =
+  Rts.Manager.trace_report t.mgr ^ source_report t ^ shard_report t ^ memory_summary t
 
 let total_drops t = Rts.Manager.total_drops t.mgr

@@ -5,7 +5,10 @@
     with a packet feed and a NIC model. Submitting GSQL text compiles,
     splits, and installs query networks; Protocol sources are bound to
     interfaces on demand, pushing NIC hints (bpf filter + snap length) into
-    cards that support them. *)
+    cards that support them. A source interprets only the fields its
+    LFTAs read and copies a payload only for packets a payload-reading
+    LFTA can accept; anything else that reads it gets every field (see
+    {!note_direct_consumer}). *)
 
 module Rts = Gigascope_rts
 module Gsql = Gigascope_gsql
@@ -166,10 +169,24 @@ val certified_burst : t -> string -> int
 val subscribe : t -> ?capacity:int -> string -> (Rts.Channel.t, string) result
 (** Without an explicit [capacity], the subscriber ring is auto-sized:
     at least the engine's default capacity, grown to the query's
-    certified burst plus headroom. *)
+    certified burst plus headroom. A Protocol source's stream then
+    carries every field, as for {!on_tuple}. *)
 
 val on_tuple : t -> string -> (Rts.Value.t array -> unit) -> (unit, string) result
-(** Callback for each output tuple of the named stream. *)
+(** Callback for each output tuple of the named stream. A Protocol
+    source's stream (["eth0.tcp"]) then carries every field, payload
+    included: see {!note_direct_consumer}. *)
+
+val note_direct_consumer : t -> string -> unit
+(** Something other than an installed LFTA reads the named stream. If
+    it is a bound Protocol source, the source interprets every field,
+    payload included, from now on. A source read only by LFTAs
+    interprets the union of the fields they read, and copies a payload
+    only for packets that a payload-reading LFTA's guard accepts (see
+    {!Gsql.Split.nic_hint}). {!on_tuple} and {!subscribe} call this
+    themselves, and the network server calls it for each client
+    subscription. Safe to call from another thread while the engine
+    runs; a no-op for any other stream. *)
 
 val run :
   t ->
@@ -255,7 +272,10 @@ val stats_report : t -> string
 val trace_report : t -> string
 (** EXPLAIN-ANALYZE-style per-operator breakdown: tuples, drops, timed
     steps, cumulative service time, ns/tuple (see
-    {!Rts.Manager.trace_report}), followed by {!shard_report} when the
+    {!Rts.Manager.trace_report}), then one line per bound Protocol
+    source (the fields it interprets, its payload guard and the payloads
+    copied, also counted under [rts.node.<source>.payloads]), followed
+    by {!shard_report} when the
     engine is sharded and a one-line-per-query memory summary (bound
     estimate and burst, or the unbounded diagnostic). *)
 

@@ -158,9 +158,68 @@ let rec compile_expr ~params (e : Expr_ir.t) =
           done;
           match impl vals with Some v -> v | None -> no_value ())
 
+(* ---------------- predicate compilation -------------------------------- *)
+
+(* Predicates compile to closures that return [bool]. A comparison
+   between an Int/Ip field and an Int/Ip constant compares unboxed ints
+   while the field holds an Int or an Ip, as every packet field a
+   Protocol interprets does; any other value (or a field past the end
+   of the tuple) goes to [slow], the boxed closure, so the answer and
+   "no value" are exactly [compile_expr]'s. *)
+let[@inline] field tup i = if i < Array.length tup then Array.unsafe_get tup i else Value.Null
+
+let field_cmp op i k slow =
+  match op with
+  | Ast.Eq -> fun tup -> ( match field tup i with Value.Int x | Value.Ip x -> x = k | _ -> slow tup)
+  | Ast.Ne -> fun tup -> ( match field tup i with Value.Int x | Value.Ip x -> x <> k | _ -> slow tup)
+  | Ast.Lt -> fun tup -> ( match field tup i with Value.Int x | Value.Ip x -> x < k | _ -> slow tup)
+  | Ast.Le -> fun tup -> ( match field tup i with Value.Int x | Value.Ip x -> x <= k | _ -> slow tup)
+  | Ast.Gt -> fun tup -> ( match field tup i with Value.Int x | Value.Ip x -> x > k | _ -> slow tup)
+  | _ -> fun tup -> ( match field tup i with Value.Int x | Value.Ip x -> x >= k | _ -> slow tup)
+
+let flip = function
+  | Ast.Lt -> Ast.Gt
+  | Ast.Le -> Ast.Ge
+  | Ast.Gt -> Ast.Lt
+  | Ast.Ge -> Ast.Le
+  | op -> op
+
+(* And and Or evaluate left to right and short-circuit, as the boxed
+   connectives do, so a "no value" raised on either side propagates the
+   same way. *)
+let rec compile_test ~params (e : Expr_ir.t) =
+  let boxed () =
+    let* f = compile_expr ~params e in
+    Ok (fun tup -> Value.is_truthy (f tup))
+  in
+  match e with
+  | Expr_ir.Binop (Ast.And, a, b, _) ->
+      let* ta = compile_test ~params a in
+      let* tb = compile_test ~params b in
+      Ok (fun tup -> ta tup && tb tup)
+  | Expr_ir.Binop (Ast.Or, a, b, _) ->
+      let* ta = compile_test ~params a in
+      let* tb = compile_test ~params b in
+      Ok (fun tup -> ta tup || tb tup)
+  | Expr_ir.Binop
+      ( ((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op),
+        Expr_ir.Field (i, (Ty.Int | Ty.Ip)),
+        Expr_ir.Const (Value.Int k | Value.Ip k),
+        _ ) ->
+      let* slow = boxed () in
+      Ok (field_cmp op i k slow)
+  | Expr_ir.Binop
+      ( ((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op),
+        Expr_ir.Const (Value.Int k | Value.Ip k),
+        Expr_ir.Field (i, (Ty.Int | Ty.Ip)),
+        _ ) ->
+      let* slow = boxed () in
+      Ok (field_cmp (flip op) i k slow)
+  | _ -> boxed ()
+
 let compile_pred ~params e =
-  let* f = compile_expr ~params e in
-  Ok (fun tup -> match f tup with v -> Value.is_truthy v | exception Value.No_value -> false)
+  let* t = compile_test ~params e in
+  Ok (fun tup -> match t tup with b -> b | exception Value.No_value -> false)
 
 (* ---------------- operator construction -------------------------------- *)
 
@@ -244,7 +303,7 @@ let agg_specs ~params (aggs : Plan.agg_call list) =
   in
   go [] aggs
 
-let make_agg_config ~params ~sample_seed:_ (a : Plan.agg_body) =
+let make_agg_config ~params (a : Plan.agg_body) =
   let in_schema = Plan.input_schema a.Plan.agg_input in
   let in_arity = Schema.arity in_schema in
   let* pred =
@@ -355,7 +414,7 @@ let make_op ~params ~seed (phys : Split.phys_node) =
       in
       Ok (op, `Select rejected)
   | Plan.Agg a ->
-      let* cfg = make_agg_config ~params ~sample_seed:seed a in
+      let* cfg = make_agg_config ~params a in
       if phys.Split.pkind = Rts.Node.Lfta then begin
         let lcfg =
           {

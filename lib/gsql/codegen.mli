@@ -25,7 +25,12 @@ val compile_expr :
     shared [Bool] constants, so they allocate nothing. *)
 
 val compile_pred : params:params -> Expr_ir.t -> (Rts.Value.t array -> bool, string) result
-(** Predicate view: "no value" is false. *)
+(** Predicate view: "no value" is false. The closure returns [bool]
+    without boxing: AND and OR short-circuit left to right, and a
+    comparison between an Int/Ip field and an Int/Ip constant compares
+    unboxed ints while the field holds an Int or an Ip, falling back to
+    the boxed {!compile_expr} closure for any other value. The answer
+    is always [Value.is_truthy] of {!compile_expr}'s. *)
 
 type source_binder = {
   bind_source :

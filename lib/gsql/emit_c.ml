@@ -141,7 +141,7 @@ let emit_node (phys : Split.phys_node) =
   Buffer.add_string buf
     (Printf.sprintf "/* ---- %s %s ---- */\n" kind phys.Split.pname);
   (match phys.Split.pnic with
-  | Some { Split.nic_filter; snap_len } ->
+  | Some { Split.nic_filter; snap_len; _ } ->
       Buffer.add_string buf (Printf.sprintf "/* NIC: snap length %d bytes" snap_len);
       (match nic_filter with
       | Some f ->

@@ -140,20 +140,23 @@ let binop_string = function
   | Ast.And -> "and"
   | Ast.Or -> "or"
 
-let rec pp fmt = function
+let rec pp_named names fmt = function
   | Const v -> Value.pp fmt v
-  | Field (i, _) -> Format.fprintf fmt "$f%d" i
+  | Field (i, _) -> Format.pp_print_string fmt (names i)
   | Param (p, _) -> Format.fprintf fmt "$%s" p
-  | Unop (Ast.Not, a) -> Format.fprintf fmt "(not %a)" pp a
-  | Unop (Ast.Neg, a) -> Format.fprintf fmt "(-%a)" pp a
-  | Binop (op, a, b, _) -> Format.fprintf fmt "(%a %s %a)" pp a (binop_string op) pp b
+  | Unop (Ast.Not, a) -> Format.fprintf fmt "(not %a)" (pp_named names) a
+  | Unop (Ast.Neg, a) -> Format.fprintf fmt "(-%a)" (pp_named names) a
+  | Binop (op, a, b, _) ->
+      Format.fprintf fmt "(%a %s %a)" (pp_named names) a (binop_string op) (pp_named names) b
   | Call (f, args) ->
       Format.fprintf fmt "%s(" f.Func.name;
       List.iteri
         (fun i a ->
           if i > 0 then Format.fprintf fmt ", ";
-          pp fmt a)
+          pp_named names fmt a)
         args;
       Format.fprintf fmt ")"
 
-let to_string e = Format.asprintf "%a" pp e
+let pp = pp_named (Printf.sprintf "$f%d")
+
+let to_string ?(names = Printf.sprintf "$f%d") e = Format.asprintf "%a" (pp_named names) e

@@ -52,4 +52,6 @@ val subst_fields : t -> subst:(int -> t) -> t
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
+
+val to_string : ?names:(int -> string) -> t -> string
+(** [names] renders a field reference (default [$f<index>]). *)

@@ -5,7 +5,12 @@ module Ty = Rts.Ty
 module Value = Rts.Value
 module Order_prop = Rts.Order_prop
 
-type nic_hint = { nic_filter : Bpf.Filter.t option; snap_len : int }
+type nic_hint = {
+  nic_filter : Bpf.Filter.t option;
+  snap_len : int;
+  fields_needed : int list;
+  payload_guard : Expr_ir.t list option;
+}
 
 type shard_tag = {
   sshard : int;
@@ -124,9 +129,20 @@ let mapping_of field_indices =
     | Some pos -> pos
     | None -> invalid_arg (Printf.sprintf "split: field %d not forwarded by LFTA" i)
 
+let rec has_call = function
+  | Expr_ir.Call _ -> true
+  | Expr_ir.Const _ | Expr_ir.Field _ | Expr_ir.Param _ -> false
+  | Expr_ir.Unop (_, a) -> has_call a
+  | Expr_ir.Binop (_, a, b, _) -> has_call a || has_call b
+
+(* The payload guard keeps the conjuncts the source can evaluate on its
+   own, before the payload is copied: no payload field (not there yet),
+   no $param (set_param may change it after the guard is compiled) and
+   no Call (a shard replica's owner conjunct is a Func.pure that counts
+   its evaluations). Each is implied by the LFTA's predicate. *)
 let nic_hint_for catalog ~protocol ~schema ~pred ~fields_needed =
   match Catalog.find_protocol catalog protocol with
-  | None -> { nic_filter = None; snap_len = 65535 }
+  | None -> { nic_filter = None; snap_len = 65535; fields_needed; payload_guard = None }
   | Some proto ->
       let bpf_of_field i =
         let name = (Schema.field_at schema i).Schema.name in
@@ -134,17 +150,25 @@ let nic_hint_for catalog ~protocol ~schema ~pred ~fields_needed =
           (List.map (fun (n, f) -> (String.lowercase_ascii n, f)) proto.Catalog.bpf_fields)
       in
       let nic_filter = Option.bind pred (lower_filter ~bpf_of_field) in
-      let needs_payload =
-        List.exists
-          (fun i ->
-            let name = String.lowercase_ascii (Schema.field_at schema i).Schema.name in
-            List.exists
-              (fun p -> String.lowercase_ascii p = name)
-              proto.Catalog.payload_fields)
-          fields_needed
+      let is_payload i =
+        let name = String.lowercase_ascii (Schema.field_at schema i).Schema.name in
+        List.exists (fun p -> String.lowercase_ascii p = name) proto.Catalog.payload_fields
+      in
+      let needs_payload = List.exists is_payload fields_needed in
+      let payload_guard =
+        if not needs_payload then None
+        else
+          let conjs = match pred with None -> [] | Some p -> Expr_ir.conjuncts p in
+          Some
+            (List.filter
+               (fun c ->
+                 (not (List.exists is_payload (Expr_ir.fields_used c)))
+                 && Expr_ir.params_used c = []
+                 && not (has_call c))
+               conjs)
       in
       (* 134 covers Ethernet + maximal IP + maximal TCP headers. *)
-      { nic_filter; snap_len = (if needs_payload then 65535 else 134) }
+      { nic_filter; snap_len = (if needs_payload then 65535 else 134); fields_needed; payload_guard }
 
 let fields_of_items items =
   List.sort_uniq compare (List.concat_map (fun (e, _) -> Expr_ir.fields_used e) items)

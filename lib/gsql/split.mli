@@ -23,6 +23,16 @@ type nic_hint = {
       (** lowered (possibly weaker) predicate; the LFTA re-checks, so a
           partial lowering is still sound *)
   snap_len : int;  (** bytes of each qualifying packet the NIC returns *)
+  fields_needed : int list;
+      (** the Protocol schema's fields the LFTA reads, sorted: the fields
+          its source must interpret (the per-field interpretation
+          functions of Section 2.2) *)
+  payload_guard : Expr_ir.t list option;
+      (** [None] when the LFTA reads no payload field. Otherwise the
+          conjuncts of its predicate that read no payload field and
+          contain no [Call] and no [Param]: every tuple the LFTA can
+          accept satisfies them, so its source may copy a payload only
+          for packets that do. [Some []] means every packet. *)
 }
 
 type shard_tag = {

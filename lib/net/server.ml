@@ -59,6 +59,8 @@ type sub = {
   mutable s_sent : int;
   mutable s_pending_gap : int;
   mutable s_conn : Conn.t option;  (* attached writer's connection, for heartbeats *)
+  mutable s_skip_batch : bool;
+      (* the first batch's tuples are withheld: see [add_sub] *)
 }
 
 (* A network-fed source: publishers push, the engine's source pull pops.
@@ -224,11 +226,13 @@ let fanout t qname batch =
   let stamps = Rts.Batch.stamps batch in
   List.iter
     (fun sub ->
-      Array.iteri
-        (fun i v ->
-          let s = match stamps with Some st -> st.(i) | None -> 0 in
-          enqueue t sub (Item.Tuple v) s)
-        tuples;
+      if sub.s_skip_batch then sub.s_skip_batch <- false
+      else
+        Array.iteri
+          (fun i v ->
+            let s = match stamps with Some st -> st.(i) | None -> 0 in
+            enqueue t sub (Item.Tuple v) s)
+          tuples;
       match Rts.Batch.ctrl batch with
       | Some ctrl -> enqueue t sub ctrl 0
       | None -> ())
@@ -330,6 +334,17 @@ let add_sub t qname =
   (* get-or-create, so every subscriber of a query shares one egress
      latency histogram under net.latency.<query> *)
   let latency = Metrics.histogram (E.metrics t.engine) ("net.latency." ^ qname) in
+  (* A client reading a Protocol source gets every field. Subscribing
+     mid-run, it starts at the source's next batch: the batch in flight
+     may hold tuples interpreted before the source was widened. *)
+  E.note_direct_consumer t.engine qname;
+  let skip_batch =
+    Manager.started (E.manager t.engine)
+    &&
+    match Manager.find (E.manager t.engine) qname with
+    | Some node -> Node.kind node = Node.Source
+    | None -> false
+  in
   Mutex.lock t.mu;
   t.next_id <- t.next_id + 1;
   let sub =
@@ -353,6 +368,7 @@ let add_sub t qname =
       s_sent = 0;
       s_pending_gap = 0;
       s_conn = None;
+      s_skip_batch = skip_batch;
     }
   in
   Hashtbl.replace t.subs sub.sub_id sub;

@@ -64,6 +64,118 @@ let test_clock_fields () =
   check Alcotest.bool "time clock" true (List.assoc 0 bounds = Value.Int 99);
   check Alcotest.bool "timestamp clock" true (List.assoc 1 bounds = Value.Float 99.5)
 
+(* The masked interpreters against [interpret], the all-fields view, on
+   every kind of packet: the generator's TCP and UDP, ICMP, non-IP, IP
+   fragments, and packets cut by a snap length and decoded from the
+   capture bytes as a pcap record is. *)
+let gen_packet =
+  let open QCheck.Gen in
+  let generated =
+    map2
+      (fun seed k ->
+        let g =
+          Gigascope_traffic.Gen.create
+            { Gigascope_traffic.Gen.default with seed; udp_fraction = 0.4; mean_payload = 200 }
+        in
+        let rec nth i =
+          match Gigascope_traffic.Gen.next g with
+          | Some p -> if i = 0 then p else nth (i - 1)
+          | None -> Alcotest.fail "generator ran dry"
+        in
+        nth k)
+      (int_range 0 1000) (int_range 0 20)
+  in
+  let icmp =
+    map
+      (fun n ->
+        Packet.icmp ~ts:7.25 ~src:(ip "10.0.0.1") ~dst:(ip "10.0.0.2") ~icmp_type:8
+          ~payload:(Bytes.make n 'x') ())
+      (int_range 0 64)
+  in
+  let non_ip =
+    map
+      (fun n ->
+        let b = Bytes.make (20 + n) '\001' in
+        P.Bytes_util.set_u16 b 12 0x0806;
+        Result.get_ok (Packet.decode ~ts:3.0 b))
+      (int_range 0 40)
+  in
+  let whole = frequency [ (6, generated); (1, icmp); (1, non_ip) ] in
+  let fragment =
+    map2
+      (fun p (mtu, k) ->
+        let frags = P.Frag.fragment ~mtu p in
+        List.nth frags (k mod List.length frags))
+      whole
+      (pair (int_range 68 400) nat)
+  in
+  let snapped =
+    map2
+      (fun (p : Packet.t) snap_len ->
+        let wire = Packet.encode p in
+        match
+          Packet.decode ~ts:p.Packet.ts ~wire_len:(Bytes.length wire)
+            (Packet.truncate ~snap_len wire)
+        with
+        | Ok q -> q
+        | Error _ -> p)
+      whole (int_range 14 160)
+  in
+  frequency [ (3, whole); (1, fragment); (1, snapped) ]
+
+let constructor = function
+  | Value.Null -> 0
+  | Value.Bool _ -> 1
+  | Value.Int _ -> 2
+  | Value.Float _ -> 3
+  | Value.Str _ -> 4
+  | Value.Ip _ -> 5
+  | Value.Sketch _ -> 6
+
+let same a b = constructor a = constructor b && Value.compare a b = 0
+
+let masked_interpreters_agree =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name:"masked interpreters = interpret on selected fields"
+       (QCheck.make
+          ~print:(fun (pkt, (proto : DP.t), mask, copy) ->
+            Printf.sprintf "%s: %s, fields %x, copy %b" proto.DP.proto_name
+              (Packet.to_string pkt) mask copy)
+          QCheck.Gen.(
+            quad gen_packet (oneofl DP.all)
+              (oneof [ int; int_bound 0xFFFF; return 0; return (-1) ])
+              bool))
+       (fun (pkt, proto, mask, copy) ->
+         let schema = proto.DP.catalog_entry.Gigascope_gsql.Catalog.schema in
+         let payload i =
+           List.mem (Rts.Schema.field_at schema i).Rts.Schema.name
+             proto.DP.catalog_entry.Gigascope_gsql.Catalog.payload_fields
+         in
+         let selected i = mask land (1 lsl i) <> 0 in
+         let asked = ref None in
+         let sel =
+           { DP.fields = mask; copy_payload = (fun t -> asked := Some (Array.copy t); copy) }
+         in
+         match (proto.DP.interpret pkt, proto.DP.interpret_selected sel pkt) with
+         | None, None -> true
+         | Some full, Some got ->
+             let filled i = selected i && ((not (payload i)) || copy) in
+             Array.length got = Array.length full
+             && List.for_all
+                  (fun i ->
+                    if filled i then same got.(i) full.(i) || QCheck.Test.fail_reportf "field %d differs" i
+                    else got.(i) = Value.Null || QCheck.Test.fail_reportf "field %d not Null" i)
+                  (List.init (Array.length full) Fun.id)
+             && (* asked once the other selected fields are in, never when
+                   the payload is unselected *)
+             (match !asked with
+             | None -> not (List.exists (fun i -> payload i && selected i) (List.init (Array.length full) Fun.id))
+             | Some t ->
+                 List.for_all
+                   (fun i -> if payload i then t.(i) = Value.Null else same t.(i) got.(i))
+                   (List.init (Array.length full) Fun.id))
+         | Some _, None | None, Some _ -> QCheck.Test.fail_report "None on one side only"))
+
 (* ------------------------------ Sessions -------------------------------- *)
 
 let syn = { Tcp.no_flags with Tcp.syn = true }
@@ -443,6 +555,7 @@ let () =
           Alcotest.test_case "tcp over udp packet" `Quick test_tcp_interpret_udp_packet;
           Alcotest.test_case "non-ip skipped" `Quick test_interpret_non_ip;
           Alcotest.test_case "clock fields" `Quick test_clock_fields;
+          masked_interpreters_agree;
         ] );
       ( "sessions",
         [

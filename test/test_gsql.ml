@@ -512,15 +512,30 @@ let test_split_nic_hints () =
   let c = compile_ok ~name:"nh" "SELECT time, destport FROM eth0.tcp WHERE destport = 80" in
   let lfta = List.hd c.Gsql.Compile.split.Split.phys in
   match lfta.Split.pnic with
-  | Some { Split.nic_filter = Some _; snap_len } ->
-      check Alcotest.int "headers-only snap" 134 snap_len
+  | Some { Split.nic_filter = Some _; snap_len; payload_guard; _ } ->
+      check Alcotest.int "headers-only snap" 134 snap_len;
+      check Alcotest.bool "no payload, no guard" true (Option.is_none payload_guard)
   | _ -> Alcotest.fail "expected a lowered NIC filter"
 
+(* The hint also names the fields the LFTA reads and its payload guard:
+   the conjuncts that read no payload and hold no $param and no call. *)
 let test_split_nic_payload_snap () =
-  let c = compile_ok ~name:"np" "SELECT time, payload FROM eth0.tcp WHERE destport = 80" in
+  let c =
+    compile_ok ~name:"np"
+      "SELECT time, payload FROM eth0.tcp WHERE destport = 80 and srcport > $p \
+       and truncate_ip(srcip, 16) = destip and payload <> ''"
+  in
   let lfta = List.hd c.Gsql.Compile.split.Split.phys in
+  let schema = Gigascope.Default_protocols.tcp.Gigascope.Default_protocols.catalog_entry.Gsql.Catalog.schema in
+  let name i = (Rts.Schema.field_at schema i).Rts.Schema.name in
   match lfta.Split.pnic with
-  | Some { Split.snap_len; _ } -> check Alcotest.int "full snap for payload" 65535 snap_len
+  | Some { Split.snap_len; fields_needed; payload_guard; _ } ->
+      check Alcotest.int "full snap for payload" 65535 snap_len;
+      check Alcotest.(list string) "fields the LFTA reads"
+        [ "time"; "srcip"; "destip"; "srcport"; "destport"; "payload" ]
+        (List.map name fields_needed);
+      check Alcotest.(option (list string)) "payload guard" (Some [ "(destport = 80)" ])
+        (Option.map (List.map (Expr_ir.to_string ~names:name)) payload_guard)
   | None -> Alcotest.fail "expected a NIC hint"
 
 let test_split_lfta_bits_property () =
@@ -884,6 +899,77 @@ let codegen_matches_reference =
             steps
       | Ok _, Error e | Error e, Ok _ -> QCheck.Test.fail_reportf "only one side compiled: %s" e)
 
+(* The predicate compiler compares Int/Ip fields with constants on
+   unboxed ints and falls back to the boxed closure for any other value.
+   Predicates built mostly of such comparisons (either side, under AND,
+   OR and NOT) run over rows whose Int and Ip slots hold small values
+   that meet the constants, or Null, Float or Str, which drive the
+   fallback; "no value" reads as false. *)
+let gen_field_pred =
+  let open QCheck.Gen in
+  let cmp =
+    map4
+      (fun op (i, ty) k flip ->
+        let f = Expr_ir.Field (i, ty) and c = Expr_ir.Const k in
+        Expr_ir.Binop (op, (if flip then c else f), (if flip then f else c), Ty.Bool))
+      (oneofl Ast.[ Eq; Ne; Lt; Le; Gt; Ge ])
+      (oneofl [ (0, Ty.Int); (1, Ty.Ip); (5, Ty.Int); (9, Ty.Int) ])
+      (oneofl [ Value.Int (-1); Value.Int 0; Value.Int 1; Value.Int 2; Value.Ip 1; Value.Ip 2 ])
+      bool
+  in
+  let rec pred depth =
+    if depth = 0 then cmp
+    else
+      frequency
+        [
+          (3, cmp);
+          (2, map3 (fun op a b -> Expr_ir.Binop (op, a, b, Ty.Bool)) (oneofl Ast.[ And; Or ])
+                (pred (depth - 1)) (pred (depth - 1)));
+          (1, map (fun a -> Expr_ir.Unop (Ast.Not, a)) (pred (depth - 1)));
+        ]
+  in
+  sized_size (int_range 0 3) pred
+
+let gen_small_row =
+  let open QCheck.Gen in
+  let slot =
+    oneofl
+      [ Value.Int (-1); Value.Int 0; Value.Int 1; Value.Int 2; Value.Ip 1; Value.Ip 2; Value.Null;
+        Value.Float 0.0; Value.Float 2.5; Value.Str "a" ]
+  in
+  map2
+    (fun row (a, b, c) ->
+      let row = Array.copy row in
+      row.(0) <- a;
+      row.(1) <- b;
+      row.(5) <- c;
+      row)
+    gen_row (triple slot slot slot)
+
+let compiled_pred_matches_reference =
+  qtest ~count:2000 "compiled predicates = option-returning reference"
+    (QCheck.make
+       ~print:(fun (e, row, _) ->
+         Printf.sprintf "%s over [%s]" (Expr_ir.to_string e)
+           (String.concat "; " (Array.to_list (Array.map Value.to_string row))))
+       QCheck.Gen.(
+         triple
+           (frequency [ (1, gen_typed_expr); (3, gen_field_pred) ])
+           (frequency [ (1, gen_row); (3, gen_small_row) ])
+           gen_param_steps))
+    (fun (e, row, steps) ->
+      let params = Hashtbl.create 1 in
+      match (Codegen.compile_pred ~params e, Reference.compile_expr ~params e) with
+      | Error a, Error b -> a = b
+      | Ok f, Ok g ->
+          List.for_all
+            (fun step ->
+              (match step with Some v -> Hashtbl.replace params "p" v | None -> Hashtbl.remove params "p");
+              let expected = match g row with Some v -> Value.is_truthy v | None -> false in
+              f row = expected || QCheck.Test.fail_reportf "%b vs reference %b" (f row) expected)
+            steps
+      | Ok _, Error e | Error e, Ok _ -> QCheck.Test.fail_reportf "only one side compiled: %s" e)
+
 let test_codegen_bad_handle_reported_at_install () =
   let catalog = fresh_catalog () in
   match
@@ -1042,6 +1128,7 @@ let () =
           Alcotest.test_case "short circuit" `Quick test_codegen_short_circuit;
           Alcotest.test_case "bad handle at install" `Quick test_codegen_bad_handle_reported_at_install;
           codegen_matches_reference;
+          compiled_pred_matches_reference;
         ] );
       ( "emitter",
         [

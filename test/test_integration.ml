@@ -234,6 +234,223 @@ let test_regex_udf_split_pipeline () =
   ignore (run engine);
   check_rows "regex filters through the split pipeline" ["0"; "0"] (got ())
 
+(* --------------------- payload guards at the source ---------------------- *)
+
+(* The source copies a payload only for packets some payload-reading
+   LFTA's guard accepts (DESIGN §23). These queries read payloads
+   beside the port-80 regex query, where no port-80 guard covers them. *)
+let http_query =
+  {| DEFINE { query_name http; }
+     SELECT time FROM eth0.tcp
+     WHERE ipversion = 4 and protocol = 6 and destport = 80
+       and str_match_regex(payload, '^[^\n]*HTTP/1.*') = TRUE |}
+
+let payload_packets =
+  [
+    tcp_pkt 0.1 "10.0.0.1" "10.0.0.2" 1111 80 "GET / HTTP/1.1\r\n";
+    tcp_pkt 0.2 "10.0.0.1" "10.0.0.2" 1112 443 "tls-hello";
+    udp_pkt 0.3 "10.0.0.3" "10.0.0.4" 5353 53 "dns-q";
+    tcp_pkt 0.4 "10.0.0.1" "10.0.0.2" 1113 80 "junk";
+    udp_pkt 0.5 "10.0.0.3" "10.0.0.4" 5354 80 "udp80";
+    Packet.icmp ~ts:0.6 ~src:(ip "10.0.0.5") ~dst:(ip "10.0.0.6") ~icmp_type:8
+      ~payload:(Bytes.of_string "ping") ();
+  ]
+
+let payloads_copied engine =
+  match
+    Gigascope_obs.Metrics.find (E.metrics_snapshot engine) "rts.node.eth0.tcp.payloads"
+  with
+  | Some (Gigascope_obs.Metrics.Counter n) -> n
+  | _ -> Alcotest.fail "no rts.node.eth0.tcp.payloads counter"
+
+let test_payload_beyond_port80 () =
+  let engine = E.create () in
+  E.add_packet_list_interface engine ~name:"eth0" payload_packets;
+  ignore
+    (install engine
+       (http_query
+      ^ {| DEFINE { query_name udp_pay; }
+           SELECT destport, payload FROM eth0.tcp WHERE protocol = 17
+           DEFINE { query_name other_pay; }
+           SELECT destport, payload FROM eth0.tcp WHERE protocol = 6 and destport <> 80 |}));
+  let http = collect engine "http" in
+  let udp_pay = collect engine "udp_pay" in
+  let other_pay = collect engine "other_pay" in
+  ignore (run engine);
+  check_rows "the regex query" ["0"] (http ());
+  check_rows "UDP payloads through eth0.tcp" ["53,\"dns-q\""; "80,\"udp80\""] (udp_pay ());
+  check_rows "non-port-80 TCP payloads" ["443,\"tls-hello\""] (other_pay ());
+  (* every packet but the ICMP one passes some guard *)
+  check Alcotest.int "payloads copied" 5 (payloads_copied engine);
+  let report = E.trace_report engine in
+  let line =
+    "  eth0.tcp: time, ipversion, protocol, destport, payload; payload when (ipversion = 4) \
+     and (protocol = 6) and (destport = 80) or (protocol = 17) or (protocol = 6) and \
+     (destport <> 80), 5 copied\n"
+  in
+  check Alcotest.bool "trace report: the source's fields and guards" true
+    (List.mem line (List.map (fun l -> l ^ "\n") (String.split_on_char '\n' report)))
+
+let test_payload_without_guard () =
+  let engine = E.create () in
+  E.add_packet_list_interface engine ~name:"eth0" payload_packets;
+  ignore
+    (install engine
+       (http_query ^ {| DEFINE { query_name every_pay; } SELECT data_length, payload FROM eth0.tcp |}));
+  let http = collect engine "http" in
+  let every_pay = collect engine "every_pay" in
+  ignore (run engine);
+  check_rows "the regex query" ["0"] (http ());
+  check_rows "a guardless payload query sees every payload"
+    ["16,\"GET / HTTP/1.1\\r\\n\""; "9,\"tls-hello\""; "5,\"dns-q\""; "4,\"junk\""; "5,\"udp80\"";
+     "4,\"ping\""]
+    (every_pay ());
+  check Alcotest.int "payloads copied" 6 (payloads_copied engine)
+
+(* $p is no part of the guard: the flip must reach the payload copy. *)
+let test_payload_guard_with_param () =
+  let engine = E.create () in
+  let packets =
+    List.init 2000 (fun i ->
+        let port = if i mod 2 = 0 then 80 else 443 in
+        tcp_pkt (float_of_int i /. 1000.0) "10.0.0.1" "10.0.0.2" 1 port
+          (Printf.sprintf "%d:%d" port i))
+  in
+  E.add_packet_list_interface engine ~name:"eth0" packets;
+  let insts =
+    install engine
+      ~params:[ ("p", Value.Int 80) ]
+      (http_query
+     ^ {| DEFINE { query_name watched; }
+          SELECT destport, payload FROM eth0.tcp WHERE protocol = 6 and destport = $p |})
+  in
+  let inst = List.find (fun i -> i.Gsql.Codegen.inst_name = "watched") insts in
+  let rows = ref [] in
+  Result.get_ok (E.on_tuple engine "watched" (fun t -> rows := Array.copy t :: !rows));
+  let flipped = ref false in
+  (match
+     E.run engine ~quantum:16
+       ~on_round:(fun round ->
+         if round = 20 && not !flipped then begin
+           flipped := true;
+           Gsql.Codegen.set_param inst "p" (Value.Int 443)
+         end)
+       ()
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let ports = List.map (fun t -> t.(0)) !rows in
+  check Alcotest.bool "port 80 before the flip, 443 after" true
+    (List.mem (Value.Int 80) ports && List.mem (Value.Int 443) ports);
+  List.iter
+    (fun t ->
+      match (t.(0), t.(1)) with
+      | Value.Int port, Value.Str s ->
+          check Alcotest.bool "the payload of that packet" true
+            (String.starts_with ~prefix:(string_of_int port ^ ":") s)
+      | _ -> Alcotest.failf "payload missing: %s" (row_to_string t))
+    !rows
+
+(* A select sharded round-robin, reading payloads beside the regex
+   query: sharded and unsharded output match each other and the
+   packets' own payloads. *)
+let test_payload_sharded_select () =
+  let packets =
+    List.init 400 (fun i ->
+        tcp_pkt (float_of_int i /. 100.0) "10.0.0.1" "10.0.0.2" (1000 + i)
+          (match i mod 3 with 0 -> 80 | 1 -> 443 | _ -> 22)
+          (if i mod 5 = 0 then "GET / HTTP/1.1" else Printf.sprintf "p%d" i))
+  in
+  let outputs shards =
+    let engine = E.create ~shards () in
+    E.add_packet_list_interface engine ~name:"eth0" packets;
+    ignore
+      (install engine
+         (http_query
+        ^ {| DEFINE { query_name pays; }
+             SELECT srcport, payload FROM eth0.tcp WHERE protocol = 6 and destport <> 80 |}));
+    let http = collect engine "http" in
+    let pays = collect engine "pays" in
+    ignore (run engine);
+    (List.map row_to_string (http ()), List.map row_to_string (pays ()))
+  in
+  let http1, pays1 = outputs 1 in
+  let http2, pays2 = outputs 2 in
+  let expected =
+    List.filter_map
+      (fun i ->
+        if i mod 3 = 0 then None
+        else
+          Some
+            (Printf.sprintf "%d,\"%s\"" (1000 + i)
+               (if i mod 5 = 0 then "GET / HTTP/1.1" else Printf.sprintf "p%d" i)))
+      (List.init 400 Fun.id)
+  in
+  check Alcotest.(list string) "unsharded payloads" expected pays1;
+  check Alcotest.(list string) "sharded = unsharded" pays1 pays2;
+  check Alcotest.(list string) "regex query unchanged by sharding" http1 http2;
+  check Alcotest.int "regex matches" 27 (List.length http1)
+
+(* A function in a payload query's predicate runs once per packet, in
+   the LFTA: the source's guard leaves every Call out. Here the function
+   keeps state, as a shard replica's round-robin owner does. *)
+let test_payload_guard_skips_calls () =
+  let engine = E.create ~shards:1 () in
+  let calls = ref 0 in
+  E.register_function engine
+    (Rts.Func.pure ~name:"every_other" ~arg_tys:[ Rts.Ty.Int ] ~ret_ty:Rts.Ty.Bool (fun _ ->
+         incr calls;
+         Some (Value.Bool (!calls mod 2 = 1))));
+  let packets =
+    List.init 10 (fun i -> tcp_pkt (float_of_int i) "10.0.0.1" "10.0.0.2" 1 80 (string_of_int i))
+  in
+  E.add_packet_list_interface engine ~name:"eth0" packets;
+  ignore
+    (install engine
+       {| DEFINE { query_name halves; }
+          SELECT payload FROM eth0.tcp WHERE destport = 80 and every_other(destport) = TRUE |});
+  let got = collect engine "halves" in
+  ignore (run engine);
+  check_rows "every other packet, counted once each"
+    ["\"0\""; "\"2\""; "\"4\""; "\"6\""; "\"8\""] (got ());
+  check Alcotest.int "one call per packet" 10 !calls
+
+(* ------------------- direct consumers of a source ----------------------- *)
+
+(* Whatever reads a Protocol source's stream other than an LFTA gets
+   every field, payload included, whatever the LFTAs beside it read. *)
+let tcp_tuples packets =
+  List.filter_map Gigascope.Default_protocols.tcp.Gigascope.Default_protocols.interpret packets
+
+let port80_select = {| DEFINE { query_name p80; } SELECT time, destport FROM eth0.tcp WHERE destport = 80 |}
+
+let test_source_on_tuple_every_field () =
+  let engine = E.create () in
+  E.add_packet_list_interface engine ~name:"eth0" payload_packets;
+  ignore (install engine port80_select);
+  let p80 = collect engine "p80" in
+  let src = collect engine "eth0.tcp" in
+  ignore (run engine);
+  check_rows "the query" ["0,80"; "0,80"; "0,80"] (p80 ());
+  check Alcotest.(list string) "every field of every packet"
+    (List.map row_to_string (tcp_tuples payload_packets))
+    (List.map row_to_string (src ()))
+
+let test_source_subscribe_every_field () =
+  let engine = E.create () in
+  E.add_packet_list_interface engine ~name:"eth0" payload_packets;
+  ignore (install engine port80_select);
+  let chan = Result.get_ok (E.subscribe engine "eth0.tcp") in
+  ignore (run engine);
+  let rec drain acc =
+    match Rts.Channel.pop_batch chan with
+    | Some b -> drain (List.rev_append (Array.to_list (Rts.Batch.tuples b)) acc)
+    | None -> List.rev acc
+  in
+  check Alcotest.(list string) "every field of every packet"
+    (List.map row_to_string (tcp_tuples payload_packets))
+    (List.map row_to_string (drain []))
+
 let test_custom_function_registration () =
   let engine = E.create () in
   (* a user function: port class, as the paper's analysts would add *)
@@ -322,6 +539,32 @@ let test_sampling () =
   ignore (run engine);
   let n = List.length (got ()) in
   check Alcotest.bool (Printf.sprintf "~20%% sampled (got %d)" n) true (n > 120 && n < 280)
+
+(* SAMPLE compiles into the HFTA select's predicate, seeded per query
+   instance from the engine's seed sequence. *)
+let sampled_rows ?(rate = "0.5") () =
+  let engine = E.create () in
+  E.add_packet_list_interface engine ~name:"eth0"
+    (List.init 200 (fun i -> tcp_pkt (float_of_int i /. 100.0) "10.0.0.1" "10.0.0.2" i 80 ""));
+  ignore
+    (install engine
+       (Printf.sprintf
+          {| DEFINE { query_name sampled; }
+             SELECT time, srcport FROM eth0.tcp WHERE protocol = 6 SAMPLE %s |}
+          rate));
+  let got = collect engine "sampled" in
+  ignore (run engine);
+  List.map row_to_string (got ())
+
+let test_sample_extremes () =
+  check Alcotest.int "SAMPLE 0 keeps none" 0 (List.length (sampled_rows ~rate:"0.0" ()));
+  check Alcotest.int "SAMPLE 1 keeps all" 200 (List.length (sampled_rows ~rate:"1.0" ()))
+
+let test_sample_replays () =
+  let a = sampled_rows () and b = sampled_rows () in
+  check Alcotest.(list string) "same seed, same sample" a b;
+  let n = List.length a in
+  check Alcotest.bool (Printf.sprintf "roughly half (got %d)" n) true (n > 70 && n < 130)
 
 (* ----------------------------- pcap replay ------------------------------ *)
 
@@ -829,10 +1072,19 @@ let () =
           Alcotest.test_case "missing parameter" `Quick test_missing_parameter_discards;
           Alcotest.test_case "getlpmid partial fn" `Quick test_getlpmid_partial_function;
           Alcotest.test_case "regex UDF split" `Quick test_regex_udf_split_pipeline;
+          Alcotest.test_case "payloads beyond port 80" `Quick test_payload_beyond_port80;
+          Alcotest.test_case "payload query without guard" `Quick test_payload_without_guard;
+          Alcotest.test_case "payload guard with a parameter" `Quick test_payload_guard_with_param;
+          Alcotest.test_case "payloads in a sharded select" `Quick test_payload_sharded_select;
+          Alcotest.test_case "payload guard skips calls" `Quick test_payload_guard_skips_calls;
+          Alcotest.test_case "source on_tuple: every field" `Quick test_source_on_tuple_every_field;
+          Alcotest.test_case "source subscribe: every field" `Quick test_source_subscribe_every_field;
           Alcotest.test_case "custom function" `Quick test_custom_function_registration;
           Alcotest.test_case "merge exact order" `Quick test_merge_exact_order;
           Alcotest.test_case "join exact" `Quick test_join_exact;
           Alcotest.test_case "sampling" `Quick test_sampling;
+          Alcotest.test_case "SAMPLE extremes keep none or all" `Quick test_sample_extremes;
+          Alcotest.test_case "SAMPLE replays for a seed" `Quick test_sample_replays;
           Alcotest.test_case "pcap replay" `Quick test_pcap_interface_end_to_end;
           Alcotest.test_case "NIC data reduction" `Quick test_nic_filter_reduces_delivery;
           Alcotest.test_case "dumb card counters" `Quick test_dumb_card_counters;

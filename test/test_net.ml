@@ -753,6 +753,76 @@ let test_addr_parsing () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-numeric port accepted"
 
+(* A client that subscribes to a Protocol source while the engine runs
+   gets every field of every tuple it receives, payload included, though
+   the only LFTA on the source reads two fields. The subscription is
+   requested at round 10 and lands whenever the server thread gets to
+   it; by round 40 the scheduler waits for it, so it always lands
+   mid-run. *)
+let test_midrun_source_subscription () =
+  let packets =
+    let g = Gigascope_traffic.Gen.create { Gigascope_traffic.Gen.default with seed = 3; duration = 10.0 } in
+    List.init 10_000 (fun _ -> Option.get (Gigascope_traffic.Gen.next g))
+  in
+  let whole =
+    let tbl = Hashtbl.create 16384 in
+    List.iter
+      (fun p ->
+        Option.iter
+          (fun t -> Hashtbl.replace tbl (Workloads.row_to_string t) ())
+          (Gigascope.Default_protocols.tcp.Gigascope.Default_protocols.interpret p))
+      packets;
+    tbl
+  in
+  let engine = E.create ~shards:1 () in
+  E.add_packet_list_interface engine ~name:"eth0" packets;
+  (match
+     E.install_program engine
+       {| DEFINE { query_name p80; } SELECT time, destport FROM eth0.tcp WHERE destport = 80 |}
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let srv = Server.create ~egress_capacity:16_384 engine in
+  let addr = Result.get_ok (Server.listen srv (Addr.Unix_sock (fresh_sock_path ()))) in
+  let go = Atomic.make false in
+  let rows = ref [] and err = ref None in
+  let client =
+    Thread.create
+      (fun () ->
+        await "round 10" (fun () -> Atomic.get go);
+        match Client.connect addr with
+        | Error e -> err := Some e
+        | Ok c -> (
+            match Client.subscribe c "eth0.tcp" with
+            | Error e -> err := Some e
+            | Ok _ -> (
+                match
+                  Client.iter c (function Item.Tuple row -> rows := row :: !rows | _ -> ())
+                with
+                | Ok () -> Client.close c
+                | Error e -> err := Some e)))
+      ()
+  in
+  (match
+     E.run engine ~quantum:16
+       ~on_round:(fun round ->
+         if round = 10 then Atomic.set go true;
+         if round = 40 then await "the subscription" (fun () -> Server.subscriber_count srv = 1))
+       ()
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Thread.join client;
+  Server.stop srv;
+  (match !err with Some e -> Alcotest.fail ("subscriber: " ^ e) | None -> ());
+  let n = List.length !rows in
+  Alcotest.(check bool) "subscribed mid-run" true (n > 0 && n < Hashtbl.length whole);
+  List.iter
+    (fun row ->
+      if not (Hashtbl.mem whole (Workloads.row_to_string row)) then
+        Alcotest.failf "not a whole tuple: %s" (Workloads.row_to_string row))
+    !rows
+
 let test_tcp_loopback () =
   let engine = E.create () in
   payload_workload.Workloads.setup ~seed:1 engine;
@@ -810,5 +880,7 @@ let () =
           Alcotest.test_case "publish feeds an ingest" `Quick test_publish_ingest;
           Alcotest.test_case "one engine feeds another" `Quick test_cross_engine_chaining;
           Alcotest.test_case "TCP loopback on an ephemeral port" `Quick test_tcp_loopback;
+          Alcotest.test_case "mid-run source subscription: every field" `Quick
+            test_midrun_source_subscription;
         ] );
     ]

@@ -165,23 +165,6 @@ let test_select_partial_projection () =
   let out = run_op op [Item.Tuple [| vint 0 |]; Item.Tuple [| vint 1 |]; Item.Eof] in
   check Alcotest.int "partial projection discards" 1 (List.length (tuples out))
 
-(* ------------------------------ Sample op ------------------------------ *)
-
-let test_sample_extremes () =
-  let none = Rts.Sample_op.make ~rate:0.0 ~seed:1 () in
-  let all = Rts.Sample_op.make ~rate:1.0 ~seed:1 () in
-  let input = List.init 100 (fun i -> Item.Tuple [| vint i |]) @ [Item.Eof] in
-  check Alcotest.int "rate 0 keeps none" 0 (List.length (tuples (run_op none input)));
-  check Alcotest.int "rate 1 keeps all" 100 (List.length (tuples (run_op all input)))
-
-let test_sample_deterministic () =
-  let input = List.init 200 (fun i -> Item.Tuple [| vint i |]) @ [Item.Eof] in
-  let a = run_op (Rts.Sample_op.make ~rate:0.5 ~seed:9 ()) input in
-  let b = run_op (Rts.Sample_op.make ~rate:0.5 ~seed:9 ()) input in
-  check Alcotest.int "same seed same sample" (List.length (tuples a)) (List.length (tuples b));
-  let n = List.length (tuples a) in
-  check Alcotest.bool "roughly half" true (n > 70 && n < 130)
-
 (* --------------------------- HFTA aggregation -------------------------- *)
 
 (* group by (ts/10, key), count + sum(v); input ts nondecreasing *)
@@ -1426,11 +1409,6 @@ let () =
         [
           Alcotest.test_case "filter + project + punct" `Quick test_select_filter_project;
           Alcotest.test_case "partial projection" `Quick test_select_partial_projection;
-        ] );
-      ( "sample",
-        [
-          Alcotest.test_case "extremes" `Quick test_sample_extremes;
-          Alcotest.test_case "deterministic" `Quick test_sample_deterministic;
         ] );
       ( "aggregate",
         [
