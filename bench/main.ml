@@ -425,7 +425,7 @@ let e3_select_aggregate ~n ~domains ~batch =
             { Rts.Agg_fn.kind = Rts.Agg_fn.Count; arg = None };
             { Rts.Agg_fn.kind = Rts.Agg_fn.Sum; arg = Some (fun t -> t.(1)) };
           |];
-        assemble = (fun ~keys ~aggs -> Array.append keys aggs);
+        assemble = Array.copy;
         having = None;
         epoch_out = Some 0;
         punct_in = Some (0, fun v -> Some v);
@@ -1196,7 +1196,7 @@ let run_micro () =
         direction = Rts.Order_prop.Asc;
         band = 0.0;
         aggs = [| { Rts.Agg_fn.kind = Rts.Agg_fn.Count; arg = None } |];
-        assemble = (fun ~keys ~aggs -> Array.append keys aggs);
+        assemble = Array.copy;
         punct_in = None;
         epoch_out = None;
       }

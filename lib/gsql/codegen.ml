@@ -324,8 +324,7 @@ let make_agg_config ~params (a : Plan.agg_body) =
         Ok (Some p)
   in
   let n_items = Array.length item_fns in
-  let assemble ~keys ~aggs:agg_vals =
-    let virt = Array.append keys agg_vals in
+  let assemble virt =
     let out = Array.make n_items Value.Null in
     for i = 0 to n_items - 1 do
       out.(i) <- (try item_fns.(i) virt with Value.No_value -> Value.Null)
@@ -425,8 +424,7 @@ let make_op ~params ~seed (phys : Split.phys_node) =
             direction = cfg.Rts.Aggregate.direction;
             band = cfg.Rts.Aggregate.band;
             aggs = cfg.Rts.Aggregate.aggs;
-            assemble =
-              (fun ~keys ~aggs -> cfg.Rts.Aggregate.assemble ~keys ~aggs);
+            assemble = cfg.Rts.Aggregate.assemble;
             punct_in = cfg.Rts.Aggregate.punct_in;
             epoch_out = cfg.Rts.Aggregate.epoch_out;
           }

@@ -6,7 +6,7 @@ type config = {
   direction : Order_prop.direction;
   band : float;
   aggs : Agg_fn.spec array;
-  assemble : keys:Value.t array -> aggs:Value.t array -> Value.t array;
+  assemble : Value.t array -> Value.t array;
   (* Punctuation translation, exactly as in {!Aggregate}: [punct_in]
      maps an input-field bound onto the epoch-key domain, [epoch_out] is
      the output position the epoch key lands in. With both set, an input
@@ -21,36 +21,17 @@ type config = {
 
 module Metrics = Gigascope_obs.Metrics
 
-(* The table is stored by column, as the paper's generated C would lay it
-   out: per group-key column an [int array] payload and one tag byte per
-   slot, plus one occupancy byte and one accumulator array per slot. Int
-   and Ip keys (the packet fields and their arithmetic) live unboxed; a
-   key of any other kind goes to a [Value.t array] created the first time
-   such a key appears in that column. Nothing is allocated until the
-   first tuple arrives. *)
-let tag_null = '\000'
-let tag_int = '\001'
-let tag_ip = '\002'
-let tag_boxed = '\003'
-
-type column = {
-  ints : int array;  (** Int/Ip payload; 0 for other tags *)
-  tags : Bytes.t;
-  mutable boxed : Value.t array;  (** [[||]] until a boxed key appears *)
-}
-
+(* The table is a {!Group_table} of [2^table_bits] slots, allocated at
+   the first tuple, so an LFTA that never sees one adds nothing to
+   installation. A group lands in slot [Value.hash_array key land mask]
+   and evicts the group it collides with. *)
 type t = {
   cfg : config;
   mask : int;
-  (* the table, allocated at the first tuple *)
-  mutable cols : column array;
-  mutable used : Bytes.t;  (** '\001' marks an occupied slot *)
-  mutable accs : Agg_fn.acc array array;  (** per slot; [[||]] until first used *)
-  (* the tuple being folded, decoded as a column entry *)
-  key_ints : int array;
-  key_tags : Bytes.t;
-  key_boxed : Value.t array;
-  mutable key_hash : int;
+  epoch_idx : int;  (** [epoch_key], or -1 *)
+  mutable tbl : Group_table.t;  (** [Group_table.empty] until the first tuple *)
+  key : Group_table.key;  (** the tuple being folded *)
+  virt : Value.t array;  (** the emitted group's keys and finals, reused *)
   mutable occupied : int;
   mutable high_water : Value.t;
   evictions : Metrics.Counter.t;
@@ -65,13 +46,10 @@ let make cfg =
   {
     cfg;
     mask = (1 lsl cfg.table_bits) - 1;
-    cols = [||];
-    used = Bytes.empty;
-    accs = [||];
-    key_ints = Array.make n 0;
-    key_tags = Bytes.make n tag_null;
-    key_boxed = Array.make n Value.Null;
-    key_hash = 0;
+    epoch_idx = Option.value cfg.epoch_key ~default:(-1);
+    tbl = Group_table.empty;
+    key = Group_table.make_key n;
+    virt = Array.make (n + Array.length cfg.aggs) Value.Null;
     occupied = 0;
     high_water = Value.Null;
     evictions = Metrics.Counter.make ();
@@ -79,118 +57,23 @@ let make cfg =
     done_ = false;
   }
 
-let allocate t =
-  let slots = t.mask + 1 in
-  t.cols <-
-    Array.map
-      (fun _ -> { ints = Array.make slots 0; tags = Bytes.make slots tag_null; boxed = [||] })
-      t.cfg.keys;
-  t.used <- Bytes.make slots '\000';
-  t.accs <- Array.make slots [||]
-
 let ahead cfg a b =
   match cfg.direction with
   | Order_prop.Asc -> Value.compare a b > 0
   | Order_prop.Desc -> Value.compare a b < 0
 
-let boxed_value tag ints boxed i =
-  if tag = tag_int then Value.Int ints.(i)
-  else if tag = tag_ip then Value.Ip ints.(i)
-  else if tag = tag_boxed then boxed.(i)
-  else Value.Null
-
-let slot_value c idx = boxed_value (Bytes.unsafe_get c.tags idx) c.ints c.boxed idx
-let key_value t i = boxed_value (Bytes.unsafe_get t.key_tags i) t.key_ints t.key_boxed i
-
-(* Evaluate the group keys into the key_* entry and their
-   [Value.hash_array] into [key_hash]; return the epoch key's value.
-   Raises [Value.No_value] when a key has none. *)
-let read_key t values =
-  let keys = t.cfg.keys in
-  let ek = match t.cfg.epoch_key with Some ek -> ek | None -> -1 in
-  let h = ref 0 and epoch = ref Value.Null in
-  for i = 0 to Array.length keys - 1 do
-    let v = keys.(i) values in
-    h := Value.hash_combine !h v;
-    if i = ek then epoch := v;
-    match v with
-    | Value.Int x ->
-        Bytes.unsafe_set t.key_tags i tag_int;
-        t.key_ints.(i) <- x
-    | Value.Ip x ->
-        Bytes.unsafe_set t.key_tags i tag_ip;
-        t.key_ints.(i) <- x
-    | Value.Null ->
-        Bytes.unsafe_set t.key_tags i tag_null;
-        t.key_ints.(i) <- 0
-    | _ ->
-        Bytes.unsafe_set t.key_tags i tag_boxed;
-        t.key_ints.(i) <- 0;
-        t.key_boxed.(i) <- v
-  done;
-  t.key_hash <- !h land max_int;
-  !epoch
-
-(* Key equality is [Value.equal]'s: unboxed entries of one tag compare by
-   payload, Int/Ip/Null entries of different tags never match, and a
-   boxed entry on either side (a Float can equal an Int) compares the two
-   values. *)
-let column_matches t i idx =
-  let c = t.cols.(i) in
-  let kt = Bytes.unsafe_get t.key_tags i and st = Bytes.unsafe_get c.tags idx in
-  if kt = st && kt <> tag_boxed then t.key_ints.(i) = c.ints.(idx)
-  else if kt = tag_boxed || st = tag_boxed then Value.equal (key_value t i) (slot_value c idx)
-  else false
-
-let slot_matches t idx =
-  let n = Array.length t.cols in
-  let i = ref 0 in
-  while !i < n && column_matches t !i idx do
-    incr i
-  done;
-  !i = n
-
-let store_key t idx =
-  let slots = t.mask + 1 in
-  for i = 0 to Array.length t.cols - 1 do
-    let c = t.cols.(i) in
-    let tag = Bytes.unsafe_get t.key_tags i in
-    Bytes.unsafe_set c.tags idx tag;
-    c.ints.(idx) <- t.key_ints.(i);
-    if tag = tag_boxed then begin
-      if Array.length c.boxed = 0 then c.boxed <- Array.make slots Value.Null;
-      c.boxed.(idx) <- t.key_boxed.(i)
-    end
-    else if Array.length c.boxed > 0 then c.boxed.(idx) <- Value.Null
-  done
-
-(* A slot's accumulators, from zero: created at the slot's first use,
-   reset in place after that. *)
-let fresh_accs t idx =
-  let accs = t.accs.(idx) in
-  if Array.length accs = 0 then begin
-    let accs = Array.map (fun sp -> Agg_fn.init sp.Agg_fn.kind) t.cfg.aggs in
-    t.accs.(idx) <- accs;
-    accs
-  end
-  else begin
-    Array.iter Agg_fn.reset accs;
-    accs
-  end
-
 let emit_slot t idx ~emit =
-  let keys = Array.map (fun c -> slot_value c idx) t.cols in
-  let aggs = Array.map Agg_fn.final t.accs.(idx) in
-  let out = t.cfg.assemble ~keys ~aggs in
+  Group_table.fill t.tbl idx t.virt;
+  let out = t.cfg.assemble t.virt in
   Metrics.Counter.incr t.emitted;
   ignore (emit (Item.Tuple out))
 
 let flush_all t ~emit =
   (* Slot order is deterministic and cheap; the downstream HFTA re-groups,
      so no ordering promise is needed beyond bandedness. *)
-  for idx = 0 to Bytes.length t.used - 1 do
-    if Bytes.unsafe_get t.used idx <> '\000' then begin
-      Bytes.unsafe_set t.used idx '\000';
+  for idx = 0 to Group_table.slots t.tbl - 1 do
+    if Group_table.occupied t.tbl idx then begin
+      Group_table.release t.tbl idx;
       t.occupied <- t.occupied - 1;
       emit_slot t idx ~emit
     end
@@ -217,25 +100,24 @@ let advance_epoch t v ~emit =
 let on_tuple t values ~emit =
   let cfg = t.cfg in
   if match cfg.pred with Some p -> p values | None -> true then
-    match read_key t values with
+    match Group_table.read_key t.key cfg.keys values ~epoch:t.epoch_idx with
     | exception Value.No_value -> ()
     | epoch ->
-        if Bytes.length t.used = 0 then allocate t;
-        (match cfg.epoch_key with Some _ -> advance_epoch t epoch ~emit | None -> ());
-        let idx = t.key_hash land t.mask in
+        if Group_table.slots t.tbl = 0 then
+          t.tbl <- Group_table.create ~keys:(Array.length cfg.keys) ~slots:(t.mask + 1);
+        if t.epoch_idx >= 0 then advance_epoch t epoch ~emit;
+        let tbl = t.tbl in
+        let idx = Group_table.hash t.key land t.mask in
         let accs =
-          if Bytes.unsafe_get t.used idx = '\000' then begin
-            Bytes.unsafe_set t.used idx '\001';
+          if not (Group_table.occupied tbl idx) then begin
             t.occupied <- t.occupied + 1;
-            store_key t idx;
-            fresh_accs t idx
+            Group_table.insert tbl idx t.key cfg.aggs
           end
-          else if slot_matches t idx then t.accs.(idx)
+          else if Group_table.matches tbl idx t.key then Group_table.accs tbl idx
           else begin
             Metrics.Counter.incr t.evictions;
             emit_slot t idx ~emit;
-            store_key t idx;
-            fresh_accs t idx
+            Group_table.insert tbl idx t.key cfg.aggs
           end
         in
         for i = 0 to Array.length accs - 1 do

@@ -13,12 +13,11 @@
     Emitted partials carry no ordering promise except bandedness on the
     epoch key, which {!Order_infer} imputes.
 
-    A group lands in slot [Value.hash_array key land (2^table_bits - 1)].
-    The table is held in flat columns: Int and Ip keys unboxed in an
-    [int array] with a tag byte per slot, other kinds in a [Value.t
-    array] created on first need; each slot's accumulators are reset in
-    place when the slot is reused. Nothing is allocated before the first
-    tuple. *)
+    A group lands in slot [Value.hash_array key land (2^table_bits - 1)]
+    of a {!Group_table}: Int, Ip and Null keys unboxed in an [int array]
+    with a tag byte per slot, other kinds in a [Value.t array] created
+    on first need; each slot's accumulators are reset in place when the
+    slot is reused. Nothing is allocated before the first tuple. *)
 
 type config = {
   table_bits : int;  (** table size is [2 ^ table_bits] slots *)
@@ -30,7 +29,10 @@ type config = {
   direction : Order_prop.direction;
   band : float;
   aggs : Agg_fn.spec array;  (** sub-aggregate specs (see {!Agg_fn.sub_kinds}) *)
-  assemble : keys:Value.t array -> aggs:Value.t array -> Value.t array;
+  assemble : Value.t array -> Value.t array;
+      (** the output tuple from the virtual tuple [keys @ aggs], which
+          the operator reuses for every partial: return a fresh array
+          and keep no reference to the argument (as in {!Aggregate}) *)
   punct_in : (int * (Value.t -> Value.t option)) option;
       (** input punctuation field and its translation onto the epoch-key
           domain (as in {!Aggregate}); with [epoch_out] also set, a

@@ -184,7 +184,7 @@ let agg_config ?(band = 0.0) ?having () =
         { Agg_fn.kind = Agg_fn.Count; arg = None };
         { Agg_fn.kind = Agg_fn.Sum; arg = Some (fun t -> t.(2)) };
       |];
-    assemble = (fun ~keys ~aggs -> Array.append keys aggs);
+    assemble = Array.copy;
     having;
     epoch_out = Some 0;
     punct_in = Some (0, fun v -> match v with Value.Int ts -> Some (vint (ts / 10)) | _ -> None);
@@ -198,37 +198,253 @@ let mk_rows seed n =
       ts := !ts + Prng.int rng 3;
       [| vint !ts; vint (Prng.int rng 4); vint (Prng.int rng 100) |])
 
-let oracle rows =
-  (* offline group-by: (ts/10, key) -> count, sum *)
-  let tbl = Hashtbl.create 16 in
+(* A row as text, each value tagged with its constructor. *)
+let show_row row =
+  String.concat ","
+    (Array.to_list
+       (Array.map
+          (fun v ->
+            let ctor =
+              match v with
+              | Value.Null -> "null"
+              | Value.Bool _ -> "bool"
+              | Value.Int _ -> "int"
+              | Value.Float _ -> "float"
+              | Value.Str _ -> "str"
+              | Value.Ip _ -> "ip"
+              | Value.Sketch _ -> "sketch"
+            in
+            ctor ^ ":" ^ Value.to_string v)
+          row))
+
+(* The reference the HFTA is held to: open groups in a list, grouped by
+   [Value.equal_array] with the first tuple's key as the group's; a
+   close emits the closing groups by epoch in stream order, then by
+   polymorphic [compare] on the key, through HAVING. It shares no code
+   with the operator's table. *)
+let reference_hfta (cfg : Rts.Aggregate.config) items =
+  let out = ref [] and groups = ref [] and high_water = ref None and done_ = ref false in
+  let dir = match cfg.direction with Order_prop.Asc -> 1 | Order_prop.Desc -> -1 in
+  let ahead a b = dir * Value.compare a b > 0 in
+  let epoch key = match cfg.epoch_key with Some ek -> key.(ek) | None -> Value.Null in
+  let close closing =
+    let shut, kept = List.partition (fun (key, _, _) -> closing key) !groups in
+    groups := kept;
+    let order (ka, _, _) (kb, _, _) =
+      let c = dir * Value.compare (epoch ka) (epoch kb) in
+      if c <> 0 then c else compare ka kb
+    in
+    List.iter
+      (fun (key, count, sum) ->
+        let virt = Array.append key [| vint !count; Agg_fn.final sum |] in
+        if match cfg.having with None -> true | Some h -> h virt then
+          out := Item.Tuple (cfg.assemble virt) :: !out)
+      (List.stable_sort order (List.rev shut))
+  in
+  let behind thr key = cfg.epoch_key <> None && ahead thr (epoch key) in
   List.iter
-    (fun row ->
-      match (row.(0), row.(1), row.(2)) with
-      | Value.Int ts, Value.Int k, Value.Int v ->
-          let key = (ts / 10, k) in
-          let c, s = Option.value (Hashtbl.find_opt tbl key) ~default:(0, 0) in
-          Hashtbl.replace tbl key (c + 1, s + v)
-      | _ -> assert false)
-    rows;
-  tbl
+    (function
+      | Item.Tuple values -> (
+          if match cfg.pred with Some p -> p values | None -> true then
+            match Array.map (fun f -> f values) cfg.keys with
+            | exception Value.No_value -> ()
+            | key ->
+                (if cfg.epoch_key <> None then
+                   let v = epoch key in
+                   match !high_water with
+                   | Some hw when not (ahead v hw) -> ()
+                   | _ ->
+                       high_water := Some v;
+                       let thr =
+                         Rts.Aggregate.behind_threshold ~direction:cfg.direction ~band:cfg.band v
+                       in
+                       close (behind thr));
+                let count, sum =
+                  match List.find_opt (fun (k, _, _) -> Value.equal_array k key) !groups with
+                  | Some (_, count, sum) -> (count, sum)
+                  | None ->
+                      let g = (key, ref 0, Agg_fn.init Agg_fn.Sum) in
+                      groups := g :: !groups;
+                      let _, count, sum = g in
+                      (count, sum)
+                in
+                incr count;
+                Agg_fn.step_tuple cfg.aggs.(1) sum values)
+      | Item.Punct bounds -> (
+          match (cfg.punct_in, cfg.epoch_key) with
+          | Some (field, translate), Some _ -> (
+              match Option.bind (List.assoc_opt field bounds) translate with
+              | Some bound ->
+                  close (behind bound);
+                  Option.iter (fun o -> out := Item.Punct [ (o, bound) ] :: !out) cfg.epoch_out
+              | None -> ())
+          | _ -> ())
+      | Item.Flush ->
+          close (fun _ -> true);
+          out := Item.Flush :: !out
+      | Item.Eof ->
+          if not !done_ then begin
+            done_ := true;
+            close (fun _ -> true);
+            out := Item.Eof :: !out
+          end
+      | ctrl -> out := ctrl :: !out)
+    items;
+  List.rev !out
+
+let show_item = function
+  | Item.Tuple row -> show_row row
+  | Item.Punct [ (i, v) ] -> Printf.sprintf "punct %d %s" i (Value.to_string v)
+  | Item.Flush -> "flush"
+  | Item.Eof -> "eof"
+  | _ -> "other"
+
+(* Keys of every kind in one column. No Float equals an Int here: the
+   table groups by hash and [Value.equal], the reference by
+   [Value.equal] alone, and [Int 1] and [Float 1.0] hash apart. *)
+let key_pool =
+  [|
+    Value.Null; vint 1; vint 2; vint (-7); Value.Ip 1; Value.Ip 9; Value.Float 0.5; Value.Float 0.0;
+    Value.Float (-0.0); Value.Float Float.nan; Value.Str "a"; Value.Str "b"; Value.Bool false;
+    Value.Str "miss";
+  |]
 
 let hfta_agg_matches_oracle =
-  qtest ~count:100 "HFTA aggregation = offline group-by" QCheck.small_int (fun seed ->
-      let rows = mk_rows seed 300 in
-      let agg = Rts.Aggregate.make (agg_config ()) in
-      let out =
-        run_op (Rts.Aggregate.op agg) (List.map (fun r -> Item.Tuple r) rows @ [Item.Eof])
+  let gen =
+    QCheck.Gen.(
+      let* epoch_key = bool and* desc = bool and* band = int_range 0 1 and* having = bool in
+      let* steps =
+        list_size (int_range 0 80)
+          (frequency
+             [
+               (12, map3 (fun d k v -> `Tuple (d, k, v)) (int_range (-1) 2) (oneofa key_pool)
+                      (oneofa [| vint 3; Value.Null; Value.Float 0.25 |]));
+               (1, map (fun d -> `Punct d) (int_range (-2) 1));
+               (1, return `Flush);
+             ])
       in
-      let expected = oracle rows in
-      let got = Hashtbl.create 16 in
-      List.iter
-        (fun t ->
-          match (t.(0), t.(1), t.(2), t.(3)) with
-          | Value.Int tb, Value.Int k, Value.Int c, Value.Int s -> Hashtbl.replace got (tb, k) (c, s)
-          | _ -> ())
-        (tuples out);
-      Hashtbl.length got = Hashtbl.length expected
-      && Hashtbl.fold (fun k v acc -> acc && Hashtbl.find_opt got k = Some v) expected true)
+      return (epoch_key, desc, band, having, steps))
+  in
+  let print (epoch_key, desc, band, having, steps) =
+    Printf.sprintf "epoch %b desc %b band %d having %b: %d steps" epoch_key desc band having
+      (List.length steps)
+  in
+  qtest ~count:500 "HFTA aggregation = offline group-by" (QCheck.make ~print gen)
+    (fun (epoch_key, desc, band, having, steps) ->
+      let dir = if desc then -1 else 1 in
+      (* epochs move with the stream, now and then one or two behind *)
+      let e = ref 0 in
+      let items =
+        List.map
+          (function
+            | `Tuple (d, k, v) ->
+                e := !e + (dir * max d 0);
+                Item.Tuple [| vint (!e - (dir * max (-d) 0)); k; v |]
+            | `Punct d -> Item.Punct [ (0, vint (!e + (dir * d))) ]
+            | `Flush -> Item.Flush)
+          steps
+        @ [ Item.Eof ]
+      in
+      let cfg =
+        {
+          Rts.Aggregate.pred = None;
+          keys =
+            [|
+              (fun t -> t.(0));
+              (fun t -> match t.(1) with Value.Str "miss" -> raise Value.No_value | v -> v);
+            |];
+          epoch_key = (if epoch_key then Some 0 else None);
+          direction = (if desc then Order_prop.Desc else Order_prop.Asc);
+          band = float_of_int band;
+          aggs =
+            [|
+              { Agg_fn.kind = Agg_fn.Count; arg = None };
+              { Agg_fn.kind = Agg_fn.Sum; arg = Some (fun t -> t.(2)) };
+            |];
+          assemble = Array.copy;
+          having =
+            (if having then Some (fun virt -> Value.compare virt.(2) (vint 1) > 0) else None);
+          epoch_out = (if epoch_key then Some 0 else None);
+          punct_in = (if epoch_key then Some (0, fun v -> Some v) else None);
+        }
+      in
+      let got = run_op (Rts.Aggregate.op (Rts.Aggregate.make cfg)) items in
+      List.map show_item got = List.map show_item (reference_hfta cfg items))
+
+(* Without an epoch key the groups close only at Flush or Eof, in
+   polymorphic [compare] order of their keys. *)
+let test_agg_no_epoch_key_order () =
+  let cfg =
+    {
+      (agg_config ()) with
+      Rts.Aggregate.keys = [| (fun t -> t.(1)) |];
+      epoch_key = None;
+      epoch_out = None;
+      punct_in = None;
+    }
+  in
+  let keys =
+    [ Value.Str "b"; vint 3; Value.Ip 1; Value.Null; vint (-2); Value.Float 0.5; Value.Bool true; Value.Str "a" ]
+  in
+  let out =
+    run_op
+      (Rts.Aggregate.op (Rts.Aggregate.make cfg))
+      (List.map (fun k -> Item.Tuple [| vint 0; k; vint 1 |]) keys @ [ Item.Eof ])
+  in
+  check
+    Alcotest.(list string)
+    "keys in compare order"
+    [ "null"; "true"; "-2"; "3"; "0.5"; "\"a\""; "\"b\""; "0.0.0.1" ]
+    (List.map (fun t -> Value.to_string t.(0)) (tuples out))
+
+(* The comparator the HFTA sorts a closing epoch with agrees with
+   polymorphic [compare] on the key arrays, kinds mixed in a column. *)
+let group_table_compare_law =
+  let pool =
+    [|
+      Value.Null; Value.Bool false; Value.Bool true; vint 0; vint 1; vint (-1); vint min_int; vint max_int;
+      Value.Float 1.0; Value.Float (-0.0); Value.Float 0.0; Value.Float Float.nan;
+      Value.Float Float.infinity; Value.Float (-2.5); Value.Str ""; Value.Str "a"; Value.Str "ab";
+      Value.Ip 0; Value.Ip 1; Value.Ip 0xffffffff;
+    |]
+  in
+  let gen =
+    QCheck.Gen.(
+      let* width = int_range 0 3 in
+      list_size (int_range 1 12) (array_size (return width) (oneofa pool)))
+  in
+  let print rows = String.concat " | " (List.map show_row rows) in
+  qtest ~count:500 "group table comparator = compare" (QCheck.make ~print gen) (fun rows ->
+      let rows = Array.of_list rows in
+      let width = Array.length rows.(0) in
+      let module G = Rts.Group_table in
+      let tbl = G.create ~keys:width ~slots:(Array.length rows) in
+      let key = G.make_key width in
+      let reads = Array.init width (fun i (t : Value.t array) -> t.(i)) in
+      Array.iteri
+        (fun slot row ->
+          ignore (G.read_key key reads row ~epoch:(-1));
+          ignore (G.insert tbl slot key [||]))
+        rows;
+      let sign x = compare x 0 in
+      let agree = ref true in
+      Array.iteri
+        (fun a ra ->
+          Array.iteri
+            (fun b rb -> if sign (G.compare_slots tbl a b) <> sign (compare ra rb) then agree := false)
+            rows)
+        rows;
+      (* and [sort], which carries a primary key beside the slots, puts
+         them in the same order *)
+      let n = Array.length rows in
+      let sorted = G.sort tbl (Array.init n Fun.id) n in
+      !agree
+      && List.sort compare (Array.to_list sorted) = List.init n Fun.id
+      (* [compare], not [=]: nan is not [=] to itself *)
+      && compare
+           (List.map (fun s -> rows.(s)) (Array.to_list sorted))
+           (List.stable_sort compare (Array.to_list rows))
+         = 0)
 
 let test_agg_epoch_flushes_incrementally () =
   let agg = Rts.Aggregate.make (agg_config ()) in
@@ -362,7 +578,7 @@ let two_level_equivalence =
             direction = Order_prop.Asc;
             band = 0.0;
             aggs;
-            assemble = (fun ~keys ~aggs -> Array.append keys aggs);
+            assemble = Array.copy;
             having = None;
             epoch_out = Some 0;
             punct_in = None;
@@ -381,7 +597,7 @@ let two_level_equivalence =
             direction = Order_prop.Asc;
             band = 0.0;
             aggs;
-            assemble = (fun ~keys ~aggs -> Array.append keys aggs);
+            assemble = Array.copy;
             punct_in = None;
             epoch_out = None;
           }
@@ -402,7 +618,7 @@ let two_level_equivalence =
                 { Agg_fn.kind = Agg_fn.Min; arg = Some (fun t -> t.(4)) };
                 { Agg_fn.kind = Agg_fn.Max; arg = Some (fun t -> t.(5)) };
               |];
-            assemble = (fun ~keys ~aggs -> Array.append keys aggs);
+            assemble = Array.copy;
             having = None;
             epoch_out = Some 0;
             punct_in = None;
@@ -424,7 +640,7 @@ let test_lfta_eviction_counting () =
         direction = Order_prop.Asc;
         band = 0.0;
         aggs = [| { Agg_fn.kind = Agg_fn.Count; arg = None } |];
-        assemble = (fun ~keys ~aggs -> Array.append keys aggs);
+        assemble = Array.copy;
         punct_in = None;
         epoch_out = None;
       }
@@ -449,7 +665,7 @@ let test_lfta_epoch_bound () =
         direction;
         band;
         aggs = [| { Agg_fn.kind = Agg_fn.Count; arg = None } |];
-        assemble = (fun ~keys ~aggs -> Array.append keys aggs);
+        assemble = Array.copy;
         punct_in = None;
         epoch_out = Some 0;
       }
@@ -508,29 +724,10 @@ let lfta_count_sum ?(bits = 0) ?(keys = [| (fun (t : Value.t array) -> t.(0)) |]
           { Agg_fn.kind = Agg_fn.Count; arg = None };
           { Agg_fn.kind = Agg_fn.Sum; arg = Some (fun t -> t.(1)) };
         |];
-      assemble = (fun ~keys ~aggs -> Array.append keys aggs);
+      assemble = Array.copy;
       punct_in = None;
       epoch_out = None;
     }
-
-(* A row as text, each value tagged with its constructor. *)
-let show_row row =
-  String.concat ","
-    (Array.to_list
-       (Array.map
-          (fun v ->
-            let ctor =
-              match v with
-              | Value.Null -> "null"
-              | Value.Bool _ -> "bool"
-              | Value.Int _ -> "int"
-              | Value.Float _ -> "float"
-              | Value.Str _ -> "str"
-              | Value.Ip _ -> "ip"
-              | Value.Sketch _ -> "sketch"
-            in
-            ctor ^ ":" ^ Value.to_string v)
-          row))
 
 let check_rows msg expected items =
   check Alcotest.(list string) msg expected (List.map show_row (tuples items))
@@ -1420,6 +1617,8 @@ let () =
           Alcotest.test_case "banded keeps groups open" `Quick test_agg_banded_keeps_groups_open;
           Alcotest.test_case "partial key discards" `Quick test_agg_partial_key_discards;
           Alcotest.test_case "no epoch -> eof only" `Quick test_agg_no_epoch_flushes_at_eof_only;
+          Alcotest.test_case "no epoch: key order" `Quick test_agg_no_epoch_key_order;
+          group_table_compare_law;
           Alcotest.test_case "flush item" `Quick test_agg_flush_item;
           Alcotest.test_case "predicate filters" `Quick test_agg_pred_filters;
           Alcotest.test_case "descending stream" `Quick test_agg_descending_stream;
