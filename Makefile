@@ -115,7 +115,10 @@ ci-observability:
 # wedged node turns into exit 124, not a stuck job. Below that, the two
 # one-line exit-1 contracts: an unreadable and an invalid topology for
 # cluster, an unbindable --listen for serve — each must fail with
-# status 1 and exactly one line on stderr.
+# status 1 and exactly one line on stderr. Last, gsq's settings reach
+# the engine's one check: an explicit --parallel 1 overrides
+# GIGASCOPE_PARALLEL, and --shed 0, outside (0,1], warns and sheds
+# nothing.
 ci-cluster:
 	printf 'root: e0 e1 e2\n' > .cluster-smoke.topo
 	timeout 60 dune exec bin/gsq.exe -- cluster .cluster-smoke.topo queries/cluster_distinct.gsql \
@@ -133,6 +136,13 @@ ci-cluster:
 	sh -c 'timeout 20 dune exec bin/gsq.exe -- serve queries/tcpdest.gsql \
 	    --listen 999.999.0.1:1 2> .cluster-smoke.err; test $$? -eq 1'
 	test "$$(wc -l < .cluster-smoke.err)" -eq 1
+	GIGASCOPE_PARALLEL=2 timeout 20 dune exec bin/gsq.exe -- run queries/tcpdest.gsql \
+	    --duration 0.2 --parallel 1 --stats --max-rows 0 > .cluster-smoke.out
+	grep -Eq '^rts\.scheduler\.domains +gauge +1$$' .cluster-smoke.out
+	timeout 20 dune exec bin/gsq.exe -- run queries/tcpdest.gsql \
+	    --duration 0.2 --shed 0 --stats --max-rows 0 > .cluster-smoke.out 2> .cluster-smoke.err
+	grep -q 'ignoring shed=0' .cluster-smoke.err
+	awk '/^rts\.shed\./ { n++; if ($$3 != 0) bad = 1 } END { exit (bad || n == 0) }' .cluster-smoke.out
 	rm -f .cluster-smoke.topo .cluster-smoke.out .cluster-smoke.err
 
 bench:

@@ -137,7 +137,6 @@ let run_meta ?(state = []) ~wall_s () =
       ("env_parallel", Json.Str (env "GIGASCOPE_PARALLEL"));
       ("env_batch", Json.Str (env "GIGASCOPE_BATCH"));
       ("env_shards", Json.Str (env "GIGASCOPE_SHARDS"));
-      ("env_latency", Json.Str (env "GIGASCOPE_LATENCY"));
       ("ocaml", Json.Str Sys.ocaml_version);
       ("word_size_bits", Json.Int Sys.word_size);
       ( "heap_top_mb",
@@ -355,280 +354,6 @@ let run_e2 () =
          ("per_op_batch1", per_op_json !base_rows);
        ]);
   Printf.printf "paper: 1.2M pkts/s sustained on a 2003 dual 2.4GHz server\n"
-
-(* ---------------------------------------------------------------- E3 --- *)
-
-(* The e2 workload again, single-threaded and with the HFTAs spread over
-   worker domains (the paper's process-per-HFTA architecture, Section 2.2,
-   on OCaml domains). The outputs must agree exactly between the modes;
-   the interesting number is the wall-clock ratio. *)
-(* The data-plane workload for the batch sweep: a select feeding an
-   aggregate over cheap synthetic tuples, so the per-item channel and
-   dispatch overhead — what batching removes — dominates the measurement
-   instead of packet decoding. Output fingerprints must be byte-identical
-   across every (domains, batch) point. *)
-let e3_select_aggregate ~n ~domains ~batch =
-  let mgr = Rts.Manager.create ~default_capacity:65536 () in
-  let schema =
-    Rts.Schema.make
-      [
-        { Rts.Schema.name = "ts"; ty = Rts.Ty.Int; order = Rts.Order_prop.Monotone Rts.Order_prop.Asc };
-        { Rts.Schema.name = "port"; ty = Rts.Ty.Int; order = Rts.Order_prop.Unordered };
-        { Rts.Schema.name = "len"; ty = Rts.Ty.Int; order = Rts.Order_prop.Unordered };
-      ]
-  in
-  let out_schema =
-    Rts.Schema.make
-      [
-        { Rts.Schema.name = "tb"; ty = Rts.Ty.Int; order = Rts.Order_prop.Monotone Rts.Order_prop.Asc };
-        { Rts.Schema.name = "cnt"; ty = Rts.Ty.Int; order = Rts.Order_prop.Unordered };
-        { Rts.Schema.name = "bytes"; ty = Rts.Ty.Int; order = Rts.Order_prop.Unordered };
-      ]
-  in
-  let i = ref 0 in
-  let source =
-    {
-      Rts.Node.pull =
-        (fun () ->
-          if !i >= n then None
-          else begin
-            let t = !i in
-            incr i;
-            Some
-              (Rts.Item.Tuple
-                 [| Value.Int (t / 1000); Value.Int (t mod 997); Value.Int (64 + (t mod 1400)) |])
-          end);
-      clock = (fun () -> [(0, Value.Int (!i / 1000))]);
-    }
-  in
-  Result.get_ok (Result.map ignore (Rts.Manager.add_source mgr ~name:"src" ~schema source));
-  let select =
-    Rts.Select_op.make
-      ~pred:(fun t -> match t.(1) with Value.Int p -> p < 512 | _ -> false)
-      ~project:(fun t -> Some [| t.(0); t.(2) |])
-      ~punct_map:[(0, 0)] ()
-  in
-  Result.get_ok
-    (Result.map ignore
-       (Rts.Manager.add_query_node mgr ~name:"sel" ~kind:Rts.Node.Lfta ~schema
-          ~inputs:["src"] ~op:select));
-  let agg =
-    Rts.Aggregate.make
-      {
-        Rts.Aggregate.pred = None;
-        keys = [| (fun t -> t.(0)) |];
-        epoch_key = Some 0;
-        direction = Rts.Order_prop.Asc;
-        band = 0.0;
-        aggs =
-          [|
-            { Rts.Agg_fn.kind = Rts.Agg_fn.Count; arg = None };
-            { Rts.Agg_fn.kind = Rts.Agg_fn.Sum; arg = Some (fun t -> t.(1)) };
-          |];
-        assemble = Array.copy;
-        having = None;
-        epoch_out = Some 0;
-        punct_in = Some (0, fun v -> Some v);
-      }
-  in
-  Result.get_ok
-    (Result.map ignore
-       (Rts.Manager.add_query_node mgr ~name:"agg" ~kind:Rts.Node.Hfta ~schema:out_schema
-          ~inputs:["sel"] ~op:(Rts.Aggregate.op agg)));
-  let out = Result.get_ok (Rts.Manager.subscribe mgr "agg") in
-  Gc.compact ();
-  let t0 = Unix.gettimeofday () in
-  (match Rts.Scheduler.run ~domains ~batch mgr with
-  | Ok _ -> ()
-  | Error e -> failwith ("e3 select+aggregate: " ^ e));
-  let dt = Unix.gettimeofday () -. t0 in
-  let fingerprint = Buffer.create 4096 in
-  let rec drain () =
-    match Rts.Channel.pop_batch out with
-    | Some batch ->
-        Rts.Batch.iter batch (fun item ->
-            Buffer.add_string fingerprint (Format.asprintf "%a@." Rts.Item.pp item));
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  (dt, Buffer.contents fingerprint)
-
-let run_e3 () =
-  section "E3: single-threaded vs. parallel HFTA execution (e2 query set)";
-  let t_start = Unix.gettimeofday () in
-  let packets = e2_packets () in
-  let n_packets = List.length packets in
-  let run_one ~shards ~domains ~batch =
-    let eng = E.create ~default_capacity:65536 ~shards () in
-    E.add_packet_list_interface eng ~name:"eth0" packets;
-    (match E.install_program eng e2_queries with
-    | Ok _ -> ()
-    | Error e -> failwith ("e3 install: " ^ e));
-    (* one counter per query: each output's callback runs on the single
-       domain hosting that query, so plain refs summed after the join are
-       race-free *)
-    let counters = List.map (fun q -> (q, ref 0)) e2_names in
-    List.iter (fun (q, r) -> Result.get_ok (E.on_tuple eng q (fun _ -> incr r))) counters;
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    (match E.run eng ~parallel:domains ~batch () with
-    | Ok _ -> ()
-    | Error e -> failwith ("e3 run: " ^ e));
-    let dt = Unix.gettimeofday () -. t0 in
-    let outputs = List.fold_left (fun acc (_, r) -> acc + !r) 0 counters in
-    (dt, (outputs, E.total_drops eng, eng))
-  in
-  ignore (run_one ~shards:1 ~domains:1 ~batch:1) (* warmup, see run_e2 *);
-  let baseline = ref 0.0 and base_outputs = ref (-1) in
-  let base_state = ref [] in
-  let best_sharded = ref 0.0 in
-  Printf.printf "%-8s %-10s %-8s %10s %14s %10s %8s %10s\n" "shards" "domains" "batch"
-    "wall(s)" "pkts/s" "outputs" "drops" "speedup";
-  let e2_sweep =
-    List.map
-      (fun (shards, domains, batch) ->
-        let dt, (outputs, drops, eng) = best_of 3 (fun () -> run_one ~shards ~domains ~batch) in
-        if !base_outputs < 0 then begin
-          baseline := dt;
-          base_outputs := outputs;
-          base_state := state_peak_rows eng
-        end
-        else if outputs <> !base_outputs then
-          failwith
-            (Printf.sprintf
-               "e3: %d shards %d domains batch %d produced %d outputs, the baseline \
-                produced %d"
-               shards domains batch outputs !base_outputs);
-        let speedup = !baseline /. dt in
-        if shards = 4 && domains > 1 then best_sharded := max !best_sharded speedup;
-        Printf.printf "%-8d %-10d %-8d %10.2f %14.0f %10d %8d %9.2fx\n%!" shards domains
-          batch dt
-          (float_of_int n_packets /. dt)
-          outputs drops speedup;
-        Json.Obj
-          [
-            ("shards", Json.Int shards);
-            ("domains", Json.Int domains);
-            ("batch", Json.Int batch);
-            ("wall_s", Json.Float dt);
-            ("pkts_per_s", Json.Float (float_of_int n_packets /. dt));
-            ("outputs", Json.Int outputs);
-            ("drops", Json.Int drops);
-            ("speedup_vs_baseline", Json.Float speedup);
-          ])
-      [
-        (1, 1, 1);
-        (1, 1, 64);
-        (1, 2, 1);
-        (1, 2, 64);
-        (1, 3, 1);
-        (1, 3, 64);
-        (2, 3, 1);
-        (2, 3, 64);
-        (4, 5, 1);
-        (4, 5, 64);
-      ]
-  in
-  let host_cores = Domain.recommended_domain_count () in
-  let shard_meets = !best_sharded >= 1.5 in
-  Printf.printf "best 4-shard multi-domain speedup: %.2fx (target 1.5x) %s\n" !best_sharded
-    (if shard_meets then "PASS"
-     else if host_cores < 2 then
-       "UNMEASURABLE (single-core host: every multi-domain row times N domains \
-        interleaved on 1 core, so the sharded rows price the partitioner+merge overhead, \
-        not the offload)"
-     else "MISS");
-  Printf.printf
-    "claim: the process-per-HFTA architecture (Section 2.2) moves HFTA work off\n\
-     the packet path without drops or any change in output; when LFTA reduction\n\
-     already makes the HFTAs cheap, channel overhead can outweigh the offload —\n\
-     sharding fixes that by replicating the LFTA chain itself across domains\n\
-     behind a partitioner, so the per-packet work leaves the packet path too.\n";
-  (* -- the batched data plane on a select+aggregate chain ------------- *)
-  Printf.printf "\nselect+aggregate chain, %d tuples (batched data plane):\n" 2_000_000;
-  let n = 2_000_000 in
-  let sa_baseline = ref 0.0 and sa_fingerprint = ref "" in
-  Printf.printf "%-10s %-8s %10s %14s %10s\n" "domains" "batch" "wall(s)" "tuples/s" "speedup";
-  let sa_sweep =
-    List.map
-      (fun (domains, batch) ->
-        let dt, fp = best_of 3 (fun () -> e3_select_aggregate ~n ~domains ~batch) in
-        if !sa_fingerprint = "" then begin
-          sa_baseline := dt;
-          sa_fingerprint := fp
-        end
-        else if fp <> !sa_fingerprint then
-          failwith
-            (Printf.sprintf "e3: select+aggregate output diverged at domains %d batch %d"
-               domains batch);
-        Printf.printf "%-10d %-8d %10.2f %14.0f %9.2fx\n%!" domains batch dt
-          (float_of_int n /. dt) (!sa_baseline /. dt);
-        ( (domains, batch, !sa_baseline /. dt),
-          Json.Obj
-            [
-              ("domains", Json.Int domains);
-              ("batch", Json.Int batch);
-              ("wall_s", Json.Float dt);
-              ("tuples_per_s", Json.Float (float_of_int n /. dt));
-              ("speedup_vs_batch1", Json.Float (!sa_baseline /. dt));
-            ] ))
-      [(1, 1); (1, 8); (1, 64); (1, 256); (1, 1024); (2, 64)]
-  in
-  let best_batched =
-    List.fold_left
-      (fun acc ((domains, batch, speedup), _) ->
-        if domains = 1 && batch >= 64 then max acc speedup else acc)
-      0.0 sa_sweep
-  in
-  let meets = best_batched >= 1.5 in
-  Printf.printf "batch>=64 single-threaded speedup: %.2fx (target 1.5x) %s\n" best_batched
-    (if meets then "PASS" else "MISS");
-  Json.to_file "BENCH_e3.json"
-    (Json.Obj
-       [
-         ("bench", Json.Str "e3");
-         ("description", Json.Str "parallel HFTA execution and the batched data plane: e2 query set over domains x batch, plus a select+aggregate chain swept over batch size");
-         ("meta", run_meta ~state:!base_state ~wall_s:(Unix.gettimeofday () -. t_start) ());
-         ( "pre_refactor_baseline",
-           Json.Obj
-             [
-               ("note", Json.Str "tuple-at-a-time data plane, before the batched refactor; e2 query set");
-               ( "pkts_per_s_by_domains",
-                 Json.Obj
-                   [
-                     ("1", Json.Float 95_733.0);
-                     ("2", Json.Float 107_381.0);
-                     ("3", Json.Float 105_552.0);
-                   ] );
-             ] );
-         ( "e2_set",
-           Json.Obj
-             [
-               ("packets", Json.Int n_packets);
-               ("sweep", Json.List e2_sweep);
-               ("best_sharded_speedup_4shards_multidomain", Json.Float !best_sharded);
-               ("sharded_target_speedup", Json.Float 1.5);
-               ("sharded_meets_target", Json.Bool shard_meets);
-               ("host_cores", Json.Int host_cores);
-               ( "sharded_note",
-                 Json.Str
-                   (if host_cores < 2 then
-                      "single-core host: the multi-domain offload the target measures \
-                       cannot manifest (N domains timeshare 1 core), so the sharded rows \
-                       report pure partitioner+reunify overhead"
-                    else "multi-core host: sharded rows measure real offload") );
-             ] );
-         ( "select_aggregate",
-           Json.Obj
-             [
-               ("tuples", Json.Int n);
-               ("sweep", Json.List (List.map snd sa_sweep));
-               ("best_batched_speedup_1domain", Json.Float best_batched);
-               ("target_speedup", Json.Float 1.5);
-               ("meets_target", Json.Bool meets);
-             ] );
-       ])
 
 (* ---------------------------------------------------------------- A1 --- *)
 
@@ -1259,7 +984,7 @@ let run_micro () =
 let () =
   let which = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   let all =
-    [ ("e1", run_e1); ("e2", run_e2); ("e3", run_e3); ("a1", run_a1); ("a2", run_a2); ("a3", run_a3);
+    [ ("e1", run_e1); ("e2", run_e2); ("a1", run_a1); ("a2", run_a2); ("a3", run_a3);
       ("a4", run_a4); ("a5", run_a5); ("soak", run_soak); ("micro", run_micro) ]
   in
   match List.assoc_opt which all with

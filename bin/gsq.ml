@@ -153,38 +153,39 @@ let sessions =
 
 let query_file = Arg.(required & pos 0 (some file) None & info [] ~docv:"QUERY.gsql")
 
+(* Engine settings pass through as options, so the engine's one check
+   sees every flag and an explicit --parallel 1 overrides the variable. *)
 let parallel =
   Arg.(
-    value & opt int 1
+    value & opt (some int) None
     & info ["parallel"] ~docv:"N"
         ~doc:
           "Run the query network on N OCaml domains: HFTAs on worker domains, sources and \
-           LFTAs on the packet-path domain. 1 (the default) is single-threaded; the \
-           $(b,GIGASCOPE_PARALLEL) environment variable sets the default. Output is \
-           byte-identical to a single-threaded run.")
+           LFTAs on the packet-path domain. Default $(b,GIGASCOPE_PARALLEL), else 1 \
+           (single-threaded); N below 1 warns and runs with 1. Output is byte-identical \
+           to a single-threaded run.")
 
 let batch =
   Arg.(
-    value & opt int 1
+    value & opt (some int) None
     & info ["batch"] ~docv:"N"
         ~doc:
           "Batch the data plane: tuples move through channels, operators and the scheduler \
            in runs of up to N (control items seal a batch early, so punctuation keeps its \
-           stream position). 1 (the default) is tuple-at-a-time; the $(b,GIGASCOPE_BATCH) \
-           environment variable sets the default. Output is byte-identical for every batch \
-           size.")
+           stream position). Default $(b,GIGASCOPE_BATCH), else 1 (tuple-at-a-time); N \
+           below 1 warns and runs with 1. Output is byte-identical for every batch size.")
 
 let shards_arg =
   Arg.(
-    value & opt int 1
+    value & opt (some int) None
     & info ["shards"] ~docv:"N"
         ~doc:
           "Shard each query N ways: the LFTA chain is replicated per shard behind a \
            source-side hash partitioner and reunified through an order-preserving merge. \
-           Combine with $(b,--parallel) to land the shards on distinct domains. 1 (the \
-           default) is unsharded; the $(b,GIGASCOPE_SHARDS) environment variable sets the \
-           default. Output is byte-identical to an unsharded run; queries that cannot \
-           shard run unsharded and $(b,--trace) reports why.")
+           Combine with $(b,--parallel) to land the shards on distinct domains. Default \
+           $(b,GIGASCOPE_SHARDS), else 1 (unsharded); N below 1 warns and runs with 1. \
+           Output is byte-identical to an unsharded run; queries that cannot shard run \
+           unsharded and $(b,--trace) reports why.")
 
 let latency_sample_arg =
   Arg.(
@@ -216,44 +217,34 @@ let inject =
         ~doc:
           "Install a deterministic fault plan before the run (e.g.            $(b,seed=7,crash=total:3,torn=2)) — see the failure-model documentation for the            clause grammar. Also settable via $(b,GIGASCOPE_FAULTS). Same spec, same seed:            same faults, every run.")
 
+(* A flag naming a value: an unknown name is a usage error. *)
+let named of_string to_string =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (of_string s)),
+      fun fmt v -> Format.pp_print_string fmt (to_string v) )
+
 let supervise_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some (named Rts.Supervisor.policy_of_string Rts.Supervisor.policy_to_string)) None
     & info ["supervise"] ~docv:"POLICY"
         ~doc:
-          "Crash policy for query nodes: $(b,fail_fast) (default; the run stops with an            error naming the node), $(b,isolate) (poison only the crashing subtree —            downstream sees an explicit error marker and terminates), or $(b,restart)            (restart stateless operators in place, with a capped budget).            $(b,GIGASCOPE_SUPERVISE) sets the default. An unknown POLICY warns and falls            back to the default, matching the env knob.")
-
-(* Every other knob (GIGASCOPE_PARALLEL/BATCH/SHARDS and their flags)
-   degrades a malformed value to the default with a warning; --supervise
-   used to be the one hard error. Keep the CLI consistent with the env
-   knob: warn loudly, run with the default policy. *)
-let resolve_supervise = function
-  | None -> None
-  | Some s -> (
-      match Rts.Supervisor.policy_of_string s with
-      | Ok p -> Some p
-      | Error e ->
-          Printf.eprintf "warning: ignoring --supervise: %s; using the default policy\n%!" e;
-          None)
+          "Crash policy for query nodes: $(b,fail_fast) (default; the run stops with an \
+           error naming the node), $(b,isolate) (poison only the crashing subtree — \
+           downstream sees an explicit error marker and terminates), or $(b,restart) \
+           (restart stateless operators in place, with a capped budget). An unknown \
+           POLICY is a usage error.")
 
 let allow_unbounded =
   Arg.(
     value & flag
     & info ["allow-unbounded"]
         ~doc:
-          "Admit queries the memory certifier cannot bound (they install with a logged            warning naming the operator instead of being rejected). By default $(b,gsq run)            and $(b,gsq serve) refuse any plan without a finite state bound;            $(b,GIGASCOPE_ADMIT) overrides the default stance.")
+          "Admit queries the memory certifier cannot bound (they install with a logged \
+           warning naming the operator instead of being rejected). Without it, \
+           $(b,gsq run) and $(b,gsq serve) refuse any plan without a finite state bound.")
 
-(* CLI admission stance: the flag wins; otherwise an explicitly set
-   GIGASCOPE_ADMIT decides (Engine.create reads it); otherwise reject —
-   a server admitting arbitrary GSQL should not accept a plan whose
-   state grows without bound. *)
-let resolve_admit allow_unbounded =
-  if allow_unbounded then Some E.Admit_warn
-  else
-    match Sys.getenv_opt "GIGASCOPE_ADMIT" with
-    | Some s when String.trim s <> "" -> None
-    | _ -> Some E.Admit_reject
+let admit_of_flag allow_unbounded = if allow_unbounded then E.Admit_warn else E.Admit_reject
 
 let watchdog_arg =
   Arg.(
@@ -261,14 +252,20 @@ let watchdog_arg =
     & opt (some float) None
     & info ["watchdog"] ~docv:"SLACK"
         ~doc:
-          "Arm the state watchdog: a query node found holding more than its certified            memory bound times SLACK (>= 1.0) is treated as crashed — the loss is announced            downstream as a gap marker and the $(b,--supervise) policy applies. 0 disables            (the default); $(b,GIGASCOPE_WATCHDOG) sets the default.")
+          "Arm the state watchdog: a query node found holding more than its certified \
+           memory bound times SLACK (>= 1.0) is treated as crashed — the loss is announced \
+           downstream as a gap marker and the $(b,--supervise) policy applies. 0 disables \
+           (the default); any other SLACK below 1.0 warns and disables.")
 
 let shed_arg =
   Arg.(
     value & opt (some float) None
     & info ["shed"] ~docv:"FRAC"
         ~doc:
-          "Source-side load shedding: while any subscriber channel sits at or above this            fraction of its capacity (in (0,1]), sources discard incoming tuples, counting            them under rts.shed.* and announcing the loss downstream as a gap marker.            $(b,GIGASCOPE_SHED) sets the default.")
+          "Source-side load shedding: while any subscriber channel sits at or above this \
+           fraction of its capacity (in (0,1]), sources discard incoming tuples, counting \
+           them under rts.shed.* and announcing the loss downstream as a gap marker. A \
+           FRAC outside (0,1] warns and sheds nothing.")
 
 let install_inject inject =
   match inject with
@@ -285,7 +282,7 @@ let install_inject inject =
 (* Engine with traffic plumbing shared by `run` and `serve`: a pcap
    replay or generator interface, plus the optional session stream. *)
 let setup_engine ~pcap_in ~iface ~gen_cfg ~sessions ~shards ~admit =
-  let engine = E.create ?shards:(if shards > 1 then Some shards else None) ?admit () in
+  let engine = E.create ?shards ~admit () in
   (match pcap_in with
   | Some path -> (
       match E.add_pcap_interface engine ~name:iface path with
@@ -335,11 +332,10 @@ let do_run query_file rate duration seed pcap_in iface max_rows sessions show_st
     shed allow_unbounded watchdog =
   setup_logging log_level;
   install_inject inject;
-  let supervise = resolve_supervise supervise in
   let text = read_file query_file in
   let gen_cfg = { Gigascope_traffic.Gen.default with rate_mbps = rate; duration; seed } in
   let engine =
-    setup_engine ~pcap_in ~iface ~gen_cfg ~sessions ~shards ~admit:(resolve_admit allow_unbounded)
+    setup_engine ~pcap_in ~iface ~gen_cfg ~sessions ~shards ~admit:(admit_of_flag allow_unbounded)
   in
   match E.install_program engine text with
   | Error e ->
@@ -379,10 +375,8 @@ let do_run query_file rate duration seed pcap_in iface max_rows sessions show_st
       in
       Sys.catch_break true;
       (match
-         E.run engine ~trace
-           ?parallel:(if parallel > 1 then Some parallel else None)
-           ?batch:(if batch > 1 then Some batch else None)
-           ~latency_sample ?supervise ?shed ?state_slack:watchdog ~placement ()
+         E.run engine ~trace ?parallel ?batch ~latency_sample ?supervise ?shed
+           ?state_slack:watchdog ~placement ()
        with
       | Ok stats ->
           Printf.printf "-- done: %d rounds, %d heartbeats, %d drops\n"
@@ -425,11 +419,9 @@ let listen_addrs =
            for every interface, port 0 for a kernel-chosen port). Repeatable.")
 
 let policy_arg =
-  let parse s = Result.map_error (fun e -> `Msg e) (Server.policy_of_string s) in
-  let print fmt p = Format.pp_print_string fmt (Server.policy_to_string p) in
   Arg.(
     value
-    & opt (conv (parse, print)) Server.Drop_newest
+    & opt (named Server.policy_of_string Server.policy_to_string) Server.Drop_newest
     & info ["policy"] ~docv:"POLICY"
         ~doc:
           "Slow-consumer policy when a subscriber's egress queue fills: $(b,block) the \
@@ -505,11 +497,10 @@ let do_serve query_file rate duration seed pcap_in iface sessions show_stats tra
     watchdog =
   setup_logging log_level;
   install_inject inject;
-  let supervise = resolve_supervise supervise in
   let text = read_file query_file in
   let gen_cfg = { Gigascope_traffic.Gen.default with rate_mbps = rate; duration; seed } in
   let engine =
-    setup_engine ~pcap_in ~iface ~gen_cfg ~sessions ~shards ~admit:(resolve_admit allow_unbounded)
+    setup_engine ~pcap_in ~iface ~gen_cfg ~sessions ~shards ~admit:(admit_of_flag allow_unbounded)
   in
   let server =
     Server.create ~policy ~egress_capacity:egress
@@ -595,10 +586,8 @@ let do_serve query_file rate duration seed pcap_in iface sessions show_stats tra
      prerr_endline "interrupted";
      finish 130);
   match
-    E.run engine ~trace
-      ?parallel:(if parallel > 1 then Some parallel else None)
-      ?batch:(if batch > 1 then Some batch else None)
-      ~latency_sample ?supervise ?shed ?state_slack:watchdog ~placement ()
+    E.run engine ~trace ?parallel ?batch ~latency_sample ?supervise ?shed ?state_slack:watchdog
+      ~placement ()
   with
   | Ok stats ->
       Printf.printf "-- done: %d rounds, %d heartbeats, %d drops\n%!"

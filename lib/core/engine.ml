@@ -66,30 +66,6 @@ type t = {
       (** memory certificates of installed queries, in install order *)
 }
 
-(* GIGASCOPE_PARALLEL / GIGASCOPE_BATCH / GIGASCOPE_SHARDS make every
-   run parallel / batched / sharded by default — the hooks the CI
-   matrix uses to execute the whole test suite on N domains, vectorized,
-   or data-parallel. A value that is not a clean positive integer is
-   ignored, but never silently: degrading GIGASCOPE_PARALLEL=abc to a
-   single-threaded run would quietly void what the CI matrix claims to
-   test. *)
-let env_knob name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some n ->
-          Log.warn (fun m -> m "ignoring %s=%d: must be a positive integer; using 1" name n);
-          1
-      | None ->
-          Log.warn (fun m -> m "ignoring %s=%S: not an integer; using 1" name s);
-          1)
-
-(* Sharding rewrites the plan at install time, so its knob is read in
-   [create], not [run]. *)
-let default_shards () = env_knob "GIGASCOPE_SHARDS"
-
 let admit_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "allow" -> Ok Admit_allow
@@ -102,23 +78,161 @@ let admit_to_string = function
   | Admit_warn -> "warn"
   | Admit_reject -> "reject"
 
-(* GIGASCOPE_ADMIT: same warn-and-default stance as the other knobs. *)
-let default_admit () =
-  match Sys.getenv_opt "GIGASCOPE_ADMIT" with
-  | None | Some "" -> Admit_warn
-  | Some s -> (
-      match admit_of_string s with
-      | Ok a -> a
-      | Error e ->
-          Log.warn (fun m -> m "ignoring GIGASCOPE_ADMIT: %s; using warn" e);
-          Admit_warn)
+(* ---------------- settings --------------------------------------------- *)
+
+(* Every engine setting, in one table. A value comes from the [create] or
+   [run] argument, else from the setting's variable (an empty one counts
+   as unset), else from the default. A value that fails the check, by
+   either route, is warned about by name and replaced by the default:
+   PARALLEL=abc quietly run on one domain would void what the CI matrix
+   claims to test, and a shed fraction of 0 quietly discards nearly
+   every tuple. Sharding and admission rewrite or gate plans at install
+   time, so those two resolve in [create]; the rest in every [run]. *)
+module Setting = struct
+  type 'a t = {
+    name : string;  (** the [create]/[run] argument *)
+    var : (string * (string -> ('a, string) result)) option;
+        (** the variable and its parser, for a setting that keeps one *)
+    default : 'a;
+    check : 'a -> (unit, string) result;
+    show : 'a -> string;
+  }
+
+  type any = Any : 'a t -> any
+
+  let require ok why = if ok then Ok () else Error why
+  let anything _ = Ok ()
+
+  let int s =
+    match int_of_string_opt (String.trim s) with Some n -> Ok n | None -> Error "not an integer"
+
+  let positive name var =
+    {
+      name;
+      var = Some (var, int);
+      default = 1;
+      check = (fun n -> require (n >= 1) "must be a positive integer");
+      show = string_of_int;
+    }
+
+  let shards = positive "shards" "GIGASCOPE_SHARDS"
+  let parallel = positive "parallel" "GIGASCOPE_PARALLEL"
+  let batch = positive "batch" "GIGASCOPE_BATCH"
+
+  let admit =
+    {
+      name = "admit";
+      var = Some ("GIGASCOPE_ADMIT", admit_of_string);
+      default = Admit_warn;
+      check = anything;
+      show = admit_to_string;
+    }
+
+  (* The fault plan has no argument: [gsq --inject] and the tests install
+     theirs directly, and a set variable re-installs its plan, hit
+     counters reset, at the start of every run. *)
+  let faults =
+    {
+      name = "faults";
+      var = Some ("GIGASCOPE_FAULTS", fun s -> Result.map Option.some (Rts.Faults.parse s));
+      default = None;
+      check = anything;
+      show = (function None -> "none" | Some plan -> Rts.Faults.to_string plan);
+    }
+
+  let supervise =
+    {
+      name = "supervise";
+      var = None;
+      default = Rts.Supervisor.Fail_fast;
+      check = anything;
+      show = Rts.Supervisor.policy_to_string;
+    }
+
+  let shed =
+    {
+      name = "shed";
+      var = None;
+      default = None;
+      check =
+        (function
+        | None -> Ok () | Some f -> require (f > 0.0 && f <= 1.0) "must be a fraction in (0,1]");
+      show = (function None -> "off" | Some f -> Printf.sprintf "%g" f);
+    }
+
+  let latency_sample =
+    {
+      name = "latency_sample";
+      var = None;
+      default = 0;
+      check = (fun n -> require (n >= 0) "must be a non-negative integer");
+      show = string_of_int;
+    }
+
+  let state_slack =
+    {
+      name = "state_slack";
+      var = None;
+      default = 0.0;
+      check = (fun f -> require (f = 0.0 || f >= 1.0) "must be 0 (off) or a slack >= 1.0");
+      show = Printf.sprintf "%g";
+    }
+
+  let table =
+    [
+      Any shards; Any admit; Any parallel; Any batch; Any faults; Any supervise; Any shed;
+      Any latency_sample; Any state_slack;
+    ]
+
+  let variables = List.filter_map (fun (Any s) -> Option.map fst s.var) table
+
+  let resolve s explicit =
+    let checked what r =
+      match Result.bind r (fun v -> Result.map (fun () -> v) (s.check v)) with
+      | Ok v -> v
+      | Error why ->
+          Log.warn (fun m -> m "ignoring %s: %s; using %s" what why (s.show s.default));
+          s.default
+    in
+    match (explicit, s.var) with
+    | Some v, _ -> checked (s.name ^ "=" ^ s.show v) (Ok v)
+    | None, None -> s.default
+    | None, Some (var, parse) -> (
+        match Sys.getenv_opt var with
+        | None | Some "" -> s.default
+        | Some raw -> checked (Printf.sprintf "%s=%S" var raw) (parse raw))
+
+  (* A GIGASCOPE_* variable the table does not read, retired or
+     misspelt, is outside input that would otherwise be dropped without
+     a word. *)
+  let warn_unread () =
+    Array.iter
+      (fun kv ->
+        match String.index_opt kv '=' with
+        | Some i ->
+            let var = String.sub kv 0 i in
+            let raw = String.sub kv (i + 1) (String.length kv - i - 1) in
+            if
+              String.starts_with ~prefix:"GIGASCOPE_" var
+              && raw <> ""
+              && not (List.mem var variables)
+            then
+              Log.warn (fun m ->
+                  m "ignoring %s=%S: the engine reads no such variable (only %s)" var raw
+                    (String.concat ", " variables))
+        | None -> ())
+      (Unix.environment ())
+
+  let show_as s v = s.name ^ " " ^ s.show v
+end
 
 let create ?(default_capacity = 4096) ?shards ?admit () =
+  Setting.warn_unread ();
   let mgr = Rts.Manager.create ~default_capacity () in
   let catalog = Gsql.Catalog.create (Rts.Manager.functions mgr) in
   Default_protocols.register catalog;
-  let shards = match shards with Some n -> max 1 n | None -> default_shards () in
-  let admit = match admit with Some a -> a | None -> default_admit () in
+  let shards = Setting.resolve Setting.shards shards in
+  let admit = Setting.resolve Setting.admit admit in
   {
     mgr;
     catalog;
@@ -427,7 +541,7 @@ let burst_headroom = 64
 (* Install one split result, shard-rewriting it first when the engine
    was created with [shards > 1]. A plan the splitter cannot shard
    installs unchanged and the reason is kept for [trace_report] — the
-   same never-silent stance as the env knobs.
+   same never-silent stance as the settings.
 
    Installation is also the admission gate: the (post-shard) physical
    plan is certified, an unbounded verdict is warned about or rejected
@@ -583,63 +697,6 @@ let on_tuple t name f =
     | Rts.Item.Tuple values -> f values
     | Rts.Item.Punct _ | Rts.Item.Flush | Rts.Item.Eof | Rts.Item.Error _ | Rts.Item.Gap _ -> ())
 
-let default_parallel () = env_knob "GIGASCOPE_PARALLEL"
-
-let default_batch () = env_knob "GIGASCOPE_BATCH"
-
-(* GIGASCOPE_SUPERVISE / GIGASCOPE_SHED / GIGASCOPE_FAULTS: the failure
-   model's knobs, same CI-matrix stance as above — a malformed value is
-   warned about and ignored, never silently honoured as something else. *)
-let default_supervise () =
-  match Sys.getenv_opt "GIGASCOPE_SUPERVISE" with
-  | None | Some "" -> Rts.Supervisor.Fail_fast
-  | Some s -> (
-      match Rts.Supervisor.policy_of_string s with
-      | Ok p -> p
-      | Error e ->
-          Log.warn (fun m -> m "ignoring GIGASCOPE_SUPERVISE: %s; using fail_fast" e);
-          Rts.Supervisor.Fail_fast)
-
-let default_shed () =
-  match Sys.getenv_opt "GIGASCOPE_SHED" with
-  | None | Some "" -> None
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some f when f > 0.0 && f <= 1.0 -> Some f
-      | _ ->
-          Log.warn (fun m ->
-              m "ignoring GIGASCOPE_SHED=%S: must be a fraction in (0,1]" s);
-          None)
-
-(* GIGASCOPE_LATENCY: latency-sampling interval (0 = off, the default —
-   sampling costs a clock read per stamped tuple and must be opted
-   into, so the byte-identity differentials and throughput baselines
-   run unperturbed). *)
-let default_latency () =
-  match Sys.getenv_opt "GIGASCOPE_LATENCY" with
-  | None | Some "" -> 0
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | _ ->
-          Log.warn (fun m ->
-              m "ignoring GIGASCOPE_LATENCY=%S: must be a non-negative integer; using 0" s);
-          0)
-
-(* GIGASCOPE_WATCHDOG: state-watchdog slack multiplier (>= 1.0; unset
-   or 0 = off, the default — enforcement turns certification mistakes
-   into faults, so it is opt-in like shedding). *)
-let default_watchdog () =
-  match Sys.getenv_opt "GIGASCOPE_WATCHDOG" with
-  | None | Some "" -> 0.0
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some f when f = 0.0 || f >= 1.0 -> f
-      | _ ->
-          Log.warn (fun m ->
-              m "ignoring GIGASCOPE_WATCHDOG=%S: must be 0 (off) or a slack >= 1.0; using 0" s);
-          0.0)
-
 let run t ?quantum ?heartbeats ?heartbeat_period ?on_round ?trace ?parallel ?placement ?batch
     ?supervise ?(restart_budget = 3) ?shed ?latency_sample ?state_slack ?shards () =
   let* () =
@@ -651,31 +708,30 @@ let run t ?quantum ?heartbeats ?heartbeat_period ?on_round ?trace ?parallel ?pla
           n t.shards
     | _ -> Ok ()
   in
-  let domains = match parallel with Some n -> n | None -> default_parallel () in
-  let batch = match batch with Some n -> max 1 n | None -> default_batch () in
-  let policy = match supervise with Some p -> p | None -> default_supervise () in
-  let shed = match shed with Some _ as s -> s | None -> default_shed () in
-  let latency_sample =
-    match latency_sample with Some n -> max 0 n | None -> default_latency ()
-  in
-  let state_slack =
-    match state_slack with Some s -> max 0.0 s | None -> default_watchdog ()
-  in
-  (match Rts.Faults.install_env () with
-  | Ok true ->
-      Log.warn (fun m ->
-          m "fault injection active: %s"
-            (match Rts.Faults.current () with
-            | Some plan -> Rts.Faults.to_string plan
-            | None -> "?"))
-  | Ok false -> ()
-  | Error e -> Log.warn (fun m -> m "%s; no faults installed" e));
+  let module S = Setting in
+  let domains = S.resolve S.parallel parallel in
+  let batch = S.resolve S.batch batch in
+  let policy = S.resolve S.supervise supervise in
+  let shed = S.resolve S.shed (Option.map Option.some shed) in
+  let latency_sample = S.resolve S.latency_sample latency_sample in
+  let state_slack = S.resolve S.state_slack state_slack in
+  Option.iter
+    (fun plan ->
+      Rts.Faults.install plan;
+      Log.warn (fun m -> m "fault injection active: %s" (Rts.Faults.to_string plan)))
+    (S.resolve S.faults None);
   let supervisor = Rts.Supervisor.create ~policy ~restart_budget () in
   Log.info (fun m ->
-      m "run: %d nodes%s%s"
+      m "run: %d nodes; %s"
         (List.length (Rts.Manager.nodes t.mgr))
-        (if domains > 1 then Printf.sprintf ", parallel %d" domains else "")
-        (if batch > 1 then Printf.sprintf ", batch %d" batch else ""));
+        (String.concat ", "
+           [
+             S.show_as S.shards t.shards; S.show_as S.admit t.admit;
+             S.show_as S.parallel domains; S.show_as S.batch batch;
+             S.show_as S.supervise policy; S.show_as S.shed shed;
+             S.show_as S.latency_sample latency_sample; S.show_as S.state_slack state_slack;
+             S.show_as S.faults (Rts.Faults.current ());
+           ]));
   let result =
     Rts.Scheduler.run ?quantum ?heartbeats ?heartbeat_period ?on_round ?trace ~domains
       ?placement ~batch ~supervisor ?shed ~latency_sample ~state_slack t.mgr
@@ -715,8 +771,8 @@ let shard_report t =
     Buffer.contents b
   end
 
-(* One line per installed query, shard_report-style; [memory_report]
-   below has the full derivation. *)
+(* One line per installed query, shard_report-style; [gsq explain
+   --memory] prints the full derivation. *)
 let memory_summary t =
   if t.certs = [] then ""
   else begin
@@ -735,9 +791,6 @@ let memory_summary t =
       t.certs;
     Buffer.contents b
   end
-
-let memory_report t =
-  String.concat "\n" (List.map (fun (_, cert) -> Gsql.Certify.report cert) t.certs)
 
 (* One line per bound Protocol source: the fields it interprets and
    when it copies a payload. *)

@@ -39,19 +39,34 @@ val admit_of_string : string -> (admit, string) result
 
 val admit_to_string : admit -> string
 
-val create : ?default_capacity:int -> ?shards:int -> ?admit:admit -> unit -> t
-(** [admit] (default from [GIGASCOPE_ADMIT], else [Admit_warn]) is the
-    admission stance applied to every subsequent install; a malformed
-    env value warns and defaults like the other knobs.
+(** {2 Settings}
 
-    [shards] (default from [GIGASCOPE_SHARDS], else 1) > 1 makes every
-    subsequently installed query data-parallel: the splitter replicates
-    the eligible LFTA chain per shard behind a source-side partitioner
-    and reunifies the replicas through an order-preserving merge — see
+    {!create} and {!run} resolve each setting the same way. A value
+    comes from the argument, else from the setting's environment
+    variable, else from its default; an empty variable counts as unset.
+    A value that fails the setting's check, by either route, is warned
+    about by name (argument or variable) and replaced by the default,
+    never honoured as something else. Five variables remain:
+    [GIGASCOPE_SHARDS] and [GIGASCOPE_ADMIT] (read by {!create}),
+    [GIGASCOPE_PARALLEL], [GIGASCOPE_BATCH] and [GIGASCOPE_FAULTS] (read
+    by every {!run}; a fault plan is re-installed, hit counters reset,
+    at the start of each run — see {!Rts.Faults}). {!create} warns once
+    about any other non-empty [GIGASCOPE_*] variable, retired or
+    misspelt, and otherwise ignores it. {!run}'s info log line prints
+    every resolved setting. *)
+
+val create : ?default_capacity:int -> ?shards:int -> ?admit:admit -> unit -> t
+(** [admit] (default [Admit_warn]) is the admission stance applied to
+    every subsequent install.
+
+    [shards] (>= 1, default 1) > 1 makes every subsequently installed
+    query data-parallel: the splitter replicates the eligible LFTA chain
+    per shard behind a source-side partitioner and reunifies the
+    replicas through an order-preserving merge — see
     {!Gsql.Split.shard}. Output stays byte-identical to the unsharded
     engine for every installable query; plans the splitter cannot shard
     install unchanged and {!trace_report} names them with the reason.
-    Sharding rewrites plans at install time, which is why the knob
+    Sharding rewrites plans at install time, which is why the setting
     lives here and not on {!run}. *)
 
 val manager : t -> Rts.Manager.t
@@ -213,48 +228,41 @@ val run :
     every scheduler step (instead of a 1-in-8 sample) so
     {!trace_report} gives exact per-operator costs.
 
-    [parallel] (default from [GIGASCOPE_PARALLEL], else 1) > 1 runs the
-    network on that many OCaml domains ({!Rts.Scheduler.run}'s
-    [domains]) — HFTAs on worker domains, sources and LFTAs on the
-    caller; [placement] pins named nodes to domains. Output is
-    byte-identical to the one-domain run. [on_round] forces one domain
-    (the hook mutates live operator state, which must not race worker
-    domains).
+    [parallel] (>= 1, default 1) > 1 runs the network on that many
+    OCaml domains ({!Rts.Scheduler.run}'s [domains]) — HFTAs on worker
+    domains, sources and LFTAs on the caller; [placement] pins named
+    nodes to domains. Output is byte-identical to the one-domain run.
+    [on_round] forces one domain (the hook mutates live operator state,
+    which must not race worker domains).
 
-    [batch] (default from [GIGASCOPE_BATCH], else 1) vectorizes the data
-    plane: tuples move through channels, operators and the scheduler in
-    runs of up to [batch] ({!Rts.Scheduler.run}'s knob). Output is
-    byte-identical for every batch size.
+    [batch] (>= 1, default 1) vectorizes the data plane: tuples move
+    through channels, operators and the scheduler in runs of up to
+    [batch] ({!Rts.Scheduler.run}'s knob). Output is byte-identical for
+    every batch size.
 
-    [supervise] (default from [GIGASCOPE_SUPERVISE], else [Fail_fast])
-    chooses the crash policy — see {!Rts.Supervisor}: [Fail_fast] turns
-    any node crash into this run's [Error] (naming the node);
-    [Isolate] poisons only the crashing subtree ([Item.Error] then
-    [Item.Eof] downstream); [Restart] restarts stateless operators in
-    place up to [restart_budget] (default 3) times per node. [shed]
-    (default from [GIGASCOPE_SHED]) is a high-water fraction in (0,1]:
-    sources discard tuples while a subscriber channel sits above it,
-    counting them under [rts.shed.<node>] and announcing them
-    downstream as [Item.Gap].
+    [supervise] (default [Fail_fast]) chooses the crash policy — see
+    {!Rts.Supervisor}: [Fail_fast] turns any node crash into this run's
+    [Error] (naming the node); [Isolate] poisons only the crashing
+    subtree ([Item.Error] then [Item.Eof] downstream); [Restart]
+    restarts stateless operators in place up to [restart_budget]
+    (default 3) times per node. [shed] (a fraction in (0,1], default
+    off) is a high-water mark: sources discard tuples while a subscriber
+    channel sits at or above it, counting them under [rts.shed.<node>]
+    and announcing them downstream as [Item.Gap].
 
-    [latency_sample] (default from [GIGASCOPE_LATENCY], else 0 = off)
-    arms end-to-end latency measurement: every N-th source tuple is
-    stamped at ingest and ingest→deliver durations land in the
-    [rts.latency.<query>] histograms (and [net.latency.<query>] at the
-    network server's egress). Off by default — the stamp column and
-    clock reads are strictly opt-in, so differential tests and
-    throughput baselines are unperturbed.
+    [latency_sample] (>= 0, default 0 = off) arms end-to-end latency
+    measurement: every N-th source tuple is stamped at ingest and
+    ingest→deliver durations land in the [rts.latency.<query>]
+    histograms (and [net.latency.<query>] at the network server's
+    egress). Off by default — the stamp column and clock reads are
+    strictly opt-in, so differential tests and throughput baselines are
+    unperturbed.
 
-    [state_slack] (default from [GIGASCOPE_WATCHDOG], else 0 = off)
-    arms the state watchdog: a node found holding more than its
-    certified bound × slack is treated as crashed — the loss announced
-    as an in-band [Item.Gap], then the supervision policy applies
-    (isolate poisons just that subtree; fail_fast surfaces the node by
-    name). Values below 1.0 (other than 0) in the env knob warn and
-    default to off.
-
-    If [GIGASCOPE_FAULTS] is set, its fault plan is (re)installed at the
-    start of every run — see {!Rts.Faults}.
+    [state_slack] (0 = off, the default, or >= 1.0) arms the state
+    watchdog: a node found holding more than its certified bound ×
+    slack is treated as crashed — the loss announced as an in-band
+    [Item.Gap], then the supervision policy applies (isolate poisons
+    just that subtree; fail_fast surfaces the node by name).
 
     [shards] is a guard, not a knob: sharding is fixed when the engine
     is created (see {!create}), so passing a value that disagrees with
@@ -278,9 +286,6 @@ val trace_report : t -> string
     by {!shard_report} when the
     engine is sharded and a one-line-per-query memory summary (bound
     estimate and burst, or the unbounded diagnostic). *)
-
-val memory_report : t -> string
-(** The full {!Gsql.Certify} derivation for every installed query. *)
 
 val shards : t -> int
 (** The shard count fixed at {!create} (1 = unsharded). *)

@@ -62,4 +62,3 @@ let add_stream t ~name schema = Hashtbl.replace t.streams (key name) schema
 let find_stream t name = Hashtbl.find_opt t.streams (key name)
 
 let protocol_names t = Hashtbl.fold (fun k _ acc -> k :: acc) t.protocols [] |> List.sort compare
-let stream_names t = Hashtbl.fold (fun k _ acc -> k :: acc) t.streams [] |> List.sort compare

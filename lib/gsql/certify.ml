@@ -277,13 +277,6 @@ let node_bound t name =
       else None)
     t.cnodes
 
-let node_unbounded t name =
-  List.exists
-    (fun c ->
-      String.lowercase_ascii c.cname = String.lowercase_ascii name
-      && match c.cstate with Unbounded _ -> true | Finite _ -> false)
-    t.cnodes
-
 let burst t name =
   match
     List.find_opt (fun c -> String.lowercase_ascii c.cname = String.lowercase_ascii name) t.cnodes

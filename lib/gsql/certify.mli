@@ -56,8 +56,6 @@ val node_bound : t -> string -> float option
 (** Evaluated state bound for one physical node (by registered name,
     case-insensitive); [None] if unknown or unbounded. *)
 
-val node_unbounded : t -> string -> bool
-
 val burst : t -> string -> int
 (** Worst-case single-step emission of one node — the lower bound for
     the capacity of the channel it feeds. 1 for unknown nodes. *)

@@ -51,12 +51,6 @@ let rec is_lfta_safe = function
   | Binop (_, a, b, _) -> is_lfta_safe a && is_lfta_safe b
   | Call (f, args) -> f.Func.cost = Func.Cheap && List.for_all is_lfta_safe args
 
-let rec is_partial = function
-  | Const _ | Field _ | Param _ -> false
-  | Unop (_, a) -> is_partial a
-  | Binop (_, a, b, _) -> is_partial a || is_partial b
-  | Call (f, args) -> f.Func.partial || List.exists is_partial args
-
 let rec depends_on e i =
   match e with
   | Const _ | Param _ -> false

@@ -25,9 +25,6 @@ val params_used : t -> string list
 val is_lfta_safe : t -> bool
 (** No [Expensive] function anywhere in the tree. *)
 
-val is_partial : t -> bool
-(** May evaluate to "no value" (contains a partial function). *)
-
 val monotone_in : t -> int -> bool
 (** [monotone_in e i]: is [e], viewed as a function of field [i] with all
     other fields fixed, monotone nondecreasing? Conservative (sound,

@@ -27,7 +27,6 @@ type t = {
   c_reconnects : Metrics.Counter.t;
   c_heartbeats : Metrics.Counter.t;
   c_gaps : Metrics.Counter.t;
-  mutable server : string;
   mutable sub : (string * int) option;  (* subscribed query, server-side sub id *)
   mutable delivered : int;  (* tuples handed to the application: the resume token *)
   mutable pending : Item.t list;  (* unbatched items not yet handed out *)
@@ -35,7 +34,6 @@ type t = {
   mutable last_bounds : (int * Rts.Value.t) list;
 }
 
-let server_name t = t.server
 let delivered t = t.delivered
 
 (* One dial + Hello exchange; shared by [connect] and the redial loop. *)
@@ -59,7 +57,7 @@ let dial ~peer_name ~idle_timeout addr =
         Conn.send conn (Wire.Hello { version = Wire.protocol_version; peer = peer_name })
       in
       match Conn.recv conn with
-      | Ok (Wire.Hello { peer; _ }) -> Ok (conn, peer)
+      | Ok (Wire.Hello _) -> Ok conn
       | Ok (Wire.Err e) ->
           Conn.close conn;
           Error ("server refused: " ^ e)
@@ -71,7 +69,7 @@ let dial ~peer_name ~idle_timeout addr =
           Error e)
 
 let connect ?(peer_name = "gsq-client") ?reconnect ?idle_timeout ?metrics addr =
-  let* conn, server = dial ~peer_name ~idle_timeout addr in
+  let* conn = dial ~peer_name ~idle_timeout addr in
   let cnt name =
     match metrics with Some reg -> Metrics.counter reg name | None -> Metrics.Counter.make ()
   in
@@ -87,7 +85,6 @@ let connect ?(peer_name = "gsq-client") ?reconnect ?idle_timeout ?metrics addr =
       c_reconnects = cnt "net.reconnects";
       c_heartbeats = cnt "net.heartbeats.recv";
       c_gaps = cnt "net.gaps";
-      server;
       sub = None;
       delivered = 0;
       pending = [];
@@ -133,7 +130,7 @@ let try_resume t =
           Thread.delay (backoff *. (1.0 +. (rc.jitter *. Prng.float t.rng 1.0)));
           match dial ~peer_name:t.peer_name ~idle_timeout:t.idle_timeout t.addr with
           | Error _ -> attempt (n + 1)
-          | Ok (conn, server) -> (
+          | Ok conn -> (
               match
                 Conn.send conn (Wire.Resume { name; sub_id; token = t.delivered })
               with
@@ -145,7 +142,6 @@ let try_resume t =
                   | Ok (Wire.Subscribed { sub_id = id; _ }) ->
                       Metrics.Counter.incr t.c_reconnects;
                       t.conn <- conn;
-                      t.server <- server;
                       t.sub <- Some (name, id);
                       Ok ()
                   | Ok (Wire.Err e) ->

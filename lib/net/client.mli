@@ -52,9 +52,6 @@ val connect :
 val delivered : t -> int
 (** Tuples handed to the application so far — the resume token. *)
 
-val server_name : t -> string
-(** The server's self-reported identity from its [Hello]. *)
-
 val list : t -> (Wire.query_info list, string) result
 
 val subscribe : t -> string -> (Rts.Schema.t, string) result

@@ -49,18 +49,12 @@ let of_fd ?counters ?(peer = "?") fd =
 
 let peer t = t.peer_name
 
-let is_closed t = t.closed
-
 (* SO_RCVTIMEO/SO_SNDTIMEO: the kernel fails the blocking call with
    EAGAIN after [s] seconds instead of waiting forever — the mechanism
    behind subscriber idle-timeouts and the fix for clients hanging in
    [recv] when the server dies without closing the socket. 0 disables. *)
 let set_read_deadline t s =
   try Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO (Float.max 0.0 s)
-  with Unix.Unix_error _ | Invalid_argument _ -> ()
-
-let set_write_deadline t s =
-  try Unix.setsockopt_float t.fd Unix.SO_SNDTIMEO (Float.max 0.0 s)
   with Unix.Unix_error _ | Invalid_argument _ -> ()
 
 let close t =

@@ -31,9 +31,6 @@ val set_read_deadline : t -> float -> unit
     [0.] disables. The connection stays usable only in principle —
     callers should treat the timeout as connection loss. *)
 
-val set_write_deadline : t -> float -> unit
-(** Same for {!send} (SO_SNDTIMEO). *)
-
 val send : t -> Wire.msg -> (unit, string) result
 
 val recv : t -> (Wire.msg, string) result
@@ -45,4 +42,3 @@ val close : t -> unit
 (** Idempotent; concurrent [recv]/[send] on other threads fail with
     [Error] rather than blocking forever. *)
 
-val is_closed : t -> bool

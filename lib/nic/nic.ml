@@ -77,8 +77,6 @@ let deliver t wire =
           t.bytes_delivered <- t.bytes_delivered + Bytes.length out;
           Some out)
 
-let offloads_lfta t = match t.nic_mode with Programmable _ -> true | Dumb | Filtering _ -> false
-
 let stats t =
   {
     packets_seen = t.packets_seen;
@@ -86,9 +84,3 @@ let stats t =
     bytes_seen = t.bytes_seen;
     bytes_delivered = t.bytes_delivered;
   }
-
-let reset_stats t =
-  t.packets_seen <- 0;
-  t.packets_delivered <- 0;
-  t.bytes_seen <- 0;
-  t.bytes_delivered <- 0

@@ -49,8 +49,4 @@ val deliver_whole : t -> int -> unit
 (** [deliver_whole t len] records a [len]-byte packet passed whole, as
     {!deliver} does on a [Dumb] card, without needing its bytes. *)
 
-val offloads_lfta : t -> bool
-(** True for [Programmable]: the host does not run LFTA code. *)
-
 val stats : t -> stats
-val reset_stats : t -> unit

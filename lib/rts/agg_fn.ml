@@ -162,11 +162,6 @@ let relay_kind = function
   | Avg -> Avg (* never a sub kind; kept total *)
   | Sketch s -> Sketch { s with partial = true }
 
-let combine_avg ~sum ~count =
-  match (Value.to_float sum, Value.to_float count) with
-  | Some s, Some c when c > 0.0 -> Value.Float (s /. c)
-  | _ -> Value.Null
-
 let result_ty kind ~arg_ty =
   match kind with
   | Count -> Ty.Int

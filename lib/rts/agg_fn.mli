@@ -92,9 +92,6 @@ val relay_kind : kind -> kind
     Defined on the kinds [sub_kinds] can produce ([Avg] never appears
     there and maps to itself). *)
 
-val combine_avg : sum:Value.t -> count:Value.t -> Value.t
-(** Final assembly of a split [Avg]. *)
-
 val result_ty : kind -> arg_ty:Ty.t option -> Ty.t
 (** Static type of [final]'s value: [Count] and the non-partial
     distinct/frequency sketches are [Int], [Avg] is [Float], heavy

@@ -212,13 +212,3 @@ let send_point ~peer ~len =
               match check "delay" (fun c -> Delay (c.ms /. 1000.0)) with
               | Some a -> a
               | None -> Pass)))
-
-let install_env () =
-  match Sys.getenv_opt "GIGASCOPE_FAULTS" with
-  | None | Some "" -> Ok false
-  | Some spec -> (
-      match parse spec with
-      | Ok plan ->
-          install plan;
-          Ok true
-      | Error e -> Error (Printf.sprintf "GIGASCOPE_FAULTS: %s" e))

@@ -3,7 +3,8 @@
     A seed-driven registry of injection points threaded through the
     runtime (operator steps, cross-domain channel pushes, socket
     writes). A fault {e plan} is parsed from a compact spec string —
-    [GIGASCOPE_FAULTS] or [gsq run --inject] — and installed globally;
+    the engine's [GIGASCOPE_FAULTS] setting or [gsq run --inject] — and
+    installed globally;
     each instrumented point then consults the plan on every hit.
 
     Spec grammar (comma-separated clauses):
@@ -45,10 +46,6 @@ val install : t -> unit
 val clear : unit -> unit
 val active : unit -> bool
 val current : unit -> t option
-
-val install_env : unit -> (bool, string) result
-(** Install from [GIGASCOPE_FAULTS] if set. [Ok true] when a plan was
-    installed, [Ok false] when the variable is unset/empty. *)
 
 (** {2 Injection points} — all are no-ops when no plan is active. *)
 

@@ -10,11 +10,6 @@ let is_tuple = function
   | Tuple _ -> true
   | Punct _ | Flush | Eof | Error _ | Gap _ -> false
 
-let punct_bound t i =
-  match t with
-  | Punct bounds -> List.assoc_opt i bounds
-  | Tuple _ | Flush | Eof | Error _ | Gap _ -> None
-
 let pp fmt = function
   | Tuple vs ->
       Format.fprintf fmt "tuple(";

@@ -29,7 +29,4 @@ type t =
 
 val is_tuple : t -> bool
 
-val punct_bound : t -> int -> Value.t option
-(** The bound a punctuation carries for field [i], if any. *)
-
 val pp : Format.formatter -> t -> unit

@@ -28,25 +28,6 @@ let ordered_fields t =
     t.fields;
   List.rev !out
 
-let with_order t name order =
-  match field_index t name with
-  | None -> t
-  | Some i ->
-      let fields = Array.copy t.fields in
-      fields.(i) <- { fields.(i) with order };
-      make (Array.to_list fields)
-
-let rename t pairs =
-  let renamed =
-    Array.map
-      (fun f ->
-        match List.assoc_opt f.name pairs with
-        | Some fresh -> { f with name = fresh }
-        | None -> f)
-      t.fields
-  in
-  make (Array.to_list renamed)
-
 let concat a b =
   let taken = Hashtbl.copy a.index in
   let right =
@@ -70,13 +51,3 @@ let pp fmt t =
       | order -> Format.fprintf fmt " [%a]" Order_prop.pp order)
     t.fields;
   Format.fprintf fmt ")"
-
-let pp_tuple t fmt values =
-  Format.fprintf fmt "{";
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Format.fprintf fmt ", ";
-      let name = if i < Array.length t.fields then t.fields.(i).name else "?" in
-      Format.fprintf fmt "%s=%a" name Value.pp v)
-    values;
-  Format.fprintf fmt "}"

@@ -18,15 +18,8 @@ val field_at : t -> int -> field
 val ordered_fields : t -> (int * field) list
 (** Fields whose property is usable for windows/epochs, in schema order. *)
 
-val with_order : t -> string -> Order_prop.t -> t
-(** Functionally update one field's ordering property. *)
-
-val rename : t -> (string * string) list -> t
-(** Rename fields (old, new); unknown old names are ignored. *)
-
 val concat : t -> t -> t
 (** Schema of a join output; clashing names get a ["_2"] suffix on the
     right side. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_tuple : t -> Format.formatter -> Value.t array -> unit

@@ -9,9 +9,6 @@ let of_value = function
   | Value.Ip _ -> Some Ip
   | Value.Sketch _ -> Some Sketch
 
-let value_matches ty v =
-  match of_value v with None -> true | Some vty -> vty = ty
-
 let is_numeric = function Int | Float -> true | Bool | Str | Ip | Sketch -> false
 
 let of_ddl_name = function

@@ -5,9 +5,6 @@ type t = Bool | Int | Float | Str | Ip | Sketch
 val of_value : Value.t -> t option
 (** [None] for [Null]. *)
 
-val value_matches : t -> Value.t -> bool
-(** [Null] matches every type. *)
-
 val is_numeric : t -> bool
 
 val of_ddl_name : string -> t option
