@@ -86,8 +86,9 @@ let admit_to_string = function
    either route, is warned about by name and replaced by the default:
    PARALLEL=abc quietly run on one domain would void what the CI matrix
    claims to test, and a shed fraction of 0 quietly discards nearly
-   every tuple. Sharding and admission rewrite or gate plans at install
-   time, so those two resolve in [create]; the rest in every [run]. *)
+   every tuple. Sharding, admission and the default channel capacity
+   shape plans at install time, so those three resolve in [create]; the
+   rest in every [run]. *)
 module Setting = struct
   type 'a t = {
     name : string;  (** the [create]/[run] argument *)
@@ -106,18 +107,31 @@ module Setting = struct
   let int s =
     match int_of_string_opt (String.trim s) with Some n -> Ok n | None -> Error "not an integer"
 
-  let positive name var =
+  let at_least_1 n = require (n >= 1) "must be a positive integer"
+
+  let positive ?var ?(default = 1) name =
     {
       name;
-      var = Some (var, int);
-      default = 1;
-      check = (fun n -> require (n >= 1) "must be a positive integer");
+      var = Option.map (fun v -> (v, int)) var;
+      default;
+      check = at_least_1;
       show = string_of_int;
     }
 
-  let shards = positive "shards" "GIGASCOPE_SHARDS"
-  let parallel = positive "parallel" "GIGASCOPE_PARALLEL"
-  let batch = positive "batch" "GIGASCOPE_BATCH"
+  let shards = positive ~var:"GIGASCOPE_SHARDS" "shards"
+  let parallel = positive ~var:"GIGASCOPE_PARALLEL" "parallel"
+  let batch = positive ~var:"GIGASCOPE_BATCH" "batch"
+  let default_capacity = positive ~default:4096 "default_capacity"
+
+  (* Unset, the scheduler picks max 64 batch. *)
+  let quantum =
+    {
+      name = "quantum";
+      var = None;
+      default = None;
+      check = (function None -> Ok () | Some q -> at_least_1 q);
+      show = (function None -> "max(64, batch)" | Some q -> string_of_int q);
+    }
 
   let admit =
     {
@@ -180,8 +194,8 @@ module Setting = struct
 
   let table =
     [
-      Any shards; Any admit; Any parallel; Any batch; Any faults; Any supervise; Any shed;
-      Any latency_sample; Any state_slack;
+      Any shards; Any admit; Any default_capacity; Any parallel; Any batch; Any quantum;
+      Any faults; Any supervise; Any shed; Any latency_sample; Any state_slack;
     ]
 
   let variables = List.filter_map (fun (Any s) -> Option.map fst s.var) table
@@ -226,8 +240,9 @@ module Setting = struct
   let show_as s v = s.name ^ " " ^ s.show v
 end
 
-let create ?(default_capacity = 4096) ?shards ?admit () =
+let create ?default_capacity ?shards ?admit () =
   Setting.warn_unread ();
+  let default_capacity = Setting.resolve Setting.default_capacity default_capacity in
   let mgr = Rts.Manager.create ~default_capacity () in
   let catalog = Gsql.Catalog.create (Rts.Manager.functions mgr) in
   Default_protocols.register catalog;
@@ -711,6 +726,7 @@ let run t ?quantum ?heartbeats ?heartbeat_period ?on_round ?trace ?parallel ?pla
   let module S = Setting in
   let domains = S.resolve S.parallel parallel in
   let batch = S.resolve S.batch batch in
+  let quantum = S.resolve S.quantum (Option.map Option.some quantum) in
   let policy = S.resolve S.supervise supervise in
   let shed = S.resolve S.shed (Option.map Option.some shed) in
   let latency_sample = S.resolve S.latency_sample latency_sample in
@@ -727,7 +743,8 @@ let run t ?quantum ?heartbeats ?heartbeat_period ?on_round ?trace ?parallel ?pla
         (String.concat ", "
            [
              S.show_as S.shards t.shards; S.show_as S.admit t.admit;
-             S.show_as S.parallel domains; S.show_as S.batch batch;
+             S.show_as S.default_capacity t.default_capacity;
+             S.show_as S.parallel domains; S.show_as S.batch batch; S.show_as S.quantum quantum;
              S.show_as S.supervise policy; S.show_as S.shed shed;
              S.show_as S.latency_sample latency_sample; S.show_as S.state_slack state_slack;
              S.show_as S.faults (Rts.Faults.current ());

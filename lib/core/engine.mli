@@ -52,8 +52,10 @@ val admit_to_string : admit -> string
     by every {!run}; a fault plan is re-installed, hit counters reset,
     at the start of each run — see {!Rts.Faults}). {!create} warns once
     about any other non-empty [GIGASCOPE_*] variable, retired or
-    misspelt, and otherwise ignores it. {!run}'s info log line prints
-    every resolved setting. *)
+    misspelt, and otherwise ignores it. {!create}'s [default_capacity]
+    (>= 1, default 4096 batches per channel) and {!run}'s [quantum]
+    (>= 1; unset, the scheduler uses max 64 [batch]) are checked the
+    same way. {!run}'s info log line prints every resolved setting. *)
 
 val create : ?default_capacity:int -> ?shards:int -> ?admit:admit -> unit -> t
 (** [admit] (default [Admit_warn]) is the admission stance applied to

@@ -28,13 +28,14 @@ type t = {
   c_heartbeats : Metrics.Counter.t;
   c_gaps : Metrics.Counter.t;
   mutable sub : (string * int) option;  (* subscribed query, server-side sub id *)
-  mutable delivered : int;  (* tuples handed to the application: the resume token *)
+  mutable position : int;
+      (* the resume token: tuples handed to the application plus tuples
+         announced lost by resumes, i.e. this client's place in the
+         server's count of tuples sent; policy-drop gaps are not in it *)
   mutable pending : Item.t list;  (* unbatched items not yet handed out *)
   mutable at_eof : bool;
   mutable last_bounds : (int * Rts.Value.t) list;
 }
-
-let delivered t = t.delivered
 
 (* One dial + Hello exchange; shared by [connect] and the redial loop. *)
 let dial ~peer_name ~idle_timeout addr =
@@ -86,7 +87,7 @@ let connect ?(peer_name = "gsq-client") ?reconnect ?idle_timeout ?metrics addr =
       c_heartbeats = cnt "net.heartbeats.recv";
       c_gaps = cnt "net.gaps";
       sub = None;
-      delivered = 0;
+      position = 0;
       pending = [];
       at_eof = false;
       last_bounds = [];
@@ -111,10 +112,12 @@ let subscribe t name =
   | Error _ as e -> e
 
 (* Redial with exponential backoff plus jitter, then [Resume] the
-   subscription with the delivered-tuple count as the token. The jitter
-   comes from a seeded generator so a chaos run retries at the same
-   instants every time. A server that explicitly refuses the resume ends
-   the loop at once — only transport failures are worth retrying. *)
+   subscription with the position as the token. The reply's gap is
+   queued for [next] to surface once; an unknown gap (-1) means a fresh
+   server queue, counted from 0. The jitter comes from a seeded
+   generator so a chaos run retries at the same instants every time. A
+   server that explicitly refuses the resume ends the loop at once —
+   only transport failures are worth retrying. *)
 let try_resume t =
   match (t.reconnect, t.sub) with
   | None, _ -> Error "connection lost (no reconnect configured)"
@@ -132,17 +135,19 @@ let try_resume t =
           | Error _ -> attempt (n + 1)
           | Ok conn -> (
               match
-                Conn.send conn (Wire.Resume { name; sub_id; token = t.delivered })
+                Conn.send conn (Wire.Resume { name; sub_id; token = t.position })
               with
               | Error _ ->
                   Conn.close conn;
                   attempt (n + 1)
               | Ok () -> (
                   match Conn.recv conn with
-                  | Ok (Wire.Subscribed { sub_id = id; _ }) ->
+                  | Ok (Wire.Subscribed { sub_id = id; gap; _ }) ->
                       Metrics.Counter.incr t.c_reconnects;
                       t.conn <- conn;
                       t.sub <- Some (name, id);
+                      t.position <- (if gap < 0 then 0 else t.position + gap);
+                      if gap <> 0 then t.pending <- Item.Gap gap :: t.pending;
                       Ok ()
                   | Ok (Wire.Err e) ->
                       Conn.close conn;
@@ -160,7 +165,7 @@ let rec next t =
       t.pending <- rest;
       (match item with
       | Item.Punct bounds -> t.last_bounds <- bounds
-      | Item.Tuple _ -> t.delivered <- t.delivered + 1
+      | Item.Tuple _ -> t.position <- t.position + 1
       | Item.Gap _ -> Metrics.Counter.incr t.c_gaps
       | Item.Flush | Item.Error _ | Item.Eof -> ());
       if item = Item.Eof then begin

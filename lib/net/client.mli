@@ -39,18 +39,17 @@ val connect :
 
     With [reconnect], a connection lost {e while subscribed} is
     self-healed: redial with exponential backoff plus seeded jitter,
-    then [Resume] with the delivered-tuple count as the token — the
-    server replays what it still holds and announces the rest as one
-    [Item.Gap]. Counted under [net.reconnects] when [metrics] is given.
+    then [Resume] with the client's position in the server's tuple
+    sequence (tuples delivered plus tuples announced lost by earlier
+    resumes) as the token — the server replays what it still holds and
+    announces the rest, which {!next} surfaces once as an [Item.Gap].
+    Counted under [net.reconnects] when [metrics] is given.
 
     With [idle_timeout] (seconds), a {!next} that sees no frame for
     that long fails with a timeout [Error] instead of blocking forever
     — the fix for clients hanging when the server host dies silently.
     Size it to a multiple of the server's heartbeat interval: a live
     but quiet server keeps the deadline fed with [Heartbeat] frames. *)
-
-val delivered : t -> int
-(** Tuples handed to the application so far — the resume token. *)
 
 val list : t -> (Wire.query_info list, string) result
 

@@ -25,23 +25,23 @@ let policy_to_string = function
   | Drop_newest -> "drop_newest"
   | Disconnect -> "disconnect"
 
-(* Per-subscriber bounded egress queue. The engine-side fanout callback
-   enqueues under [mu]; the connection's writer thread drains. The two
-   condvars make both directions blockable: [not_empty] parks the
-   writer, [not_full] parks the engine under the Block policy. *)
-(* The egress queue carries each item with its latency stamp (0 = none):
-   a sampled tuple's ingest stamp survives queueing so the writer can
-   close the ingest→send measurement at the socket. *)
+(* Per-subscriber bounded egress queue of the engine's own batches. The
+   engine-side fanout callback enqueues under [smu]; the connection's
+   writer thread drains. The two condvars make both directions
+   blockable: [not_empty] parks the writer, [not_full] parks the engine
+   under the Block policy. A batch keeps its latency-stamp column, so
+   the writer can close a sampled tuple's ingest→send measurement at the
+   socket. *)
 type sub = {
   sub_id : int;
   sub_query : string;
-  sq : (Item.t * int) Queue.t;
+  sq : Rts.Batch.t Queue.t;
   s_latency : Metrics.Histogram.t;  (* shared per query: net.latency.<q> *)
   smu : Mutex.t;
   s_not_empty : Condition.t;
   s_not_full : Condition.t;
-  s_capacity : int;
-  mutable s_items : int;
+  s_capacity : int;  (* items: tuples and control items *)
+  mutable s_items : int;  (* items queued *)
   mutable s_eof : bool;  (* EOF is in (or has passed through) the queue *)
   mutable s_dead : bool;
   mutable s_disconnected : bool;  (* dead because the Disconnect policy fired *)
@@ -49,14 +49,18 @@ type sub = {
      sub instead of killing it: the queue keeps filling (never blocking
      the engine — Block degrades to dropping for an orphan), and a
      client quoting [sub_id] in a [Resume] re-attaches to it. [s_sent]
-     counts tuples popped for sending; the client's resume token counts
-     tuples actually delivered, so [s_sent - token] is exactly the
-     in-flight loss to announce as a leading [Item.Gap]. Tuples dropped
-     by policy accumulate in [s_pending_gap] and enter the queue as an
-     in-band [Item.Gap] marker in their true stream position, so replay
-     after a resume reports every hole. *)
+     counts tuples popped for sending, and the client's resume token is
+     its position in that count (tuples delivered plus tuples announced
+     by earlier resumes), so [s_sent - token] is exactly the in-flight
+     loss of the last cut. The control item of the frame that failed is
+     kept in [s_lost_ctrl] and sent again first, so an Eof or a Gap
+     marker is never lost with its tuples. Tuples dropped by policy
+     accumulate in [s_pending_gap] and enter the queue as an in-band
+     [Item.Gap] marker in their true stream position, so replay after a
+     resume reports every hole. *)
   mutable s_orphaned : bool;
   mutable s_sent : int;
+  mutable s_lost_ctrl : Item.t option;
   mutable s_pending_gap : int;
   mutable s_conn : Conn.t option;  (* attached writer's connection, for heartbeats *)
   mutable s_skip_batch : bool;
@@ -165,56 +169,64 @@ let create ?(policy = Drop_newest) ?(egress_capacity = 4096) ?(peer_name = "gsq-
 
 (* --------------------------- egress fanout ------------------------------ *)
 
-(* Engine side: runs on whatever domain delivers the node's output.
-   Control items always land (bounded overshoot) so stream position and
-   shutdown survive any policy; only tuples are subject to it. *)
-let enqueue t sub item stamp =
-  Mutex.lock sub.smu;
-  if not sub.s_dead then begin
-    let accept () =
-      (* A pending drop run enters the queue first, as one Gap marker in
-         its true stream position — loss is reported, never silent. *)
-      if sub.s_pending_gap > 0 then begin
-        Queue.push (Item.Gap sub.s_pending_gap, 0) sub.sq;
-        sub.s_items <- sub.s_items + 1;
-        sub.s_pending_gap <- 0
-      end;
-      Queue.push (item, stamp) sub.sq;
-      sub.s_items <- sub.s_items + 1;
-      (match item with Item.Eof -> sub.s_eof <- true | _ -> ());
-      Condition.signal sub.s_not_empty
-    in
-    let drop () =
-      sub.s_pending_gap <- sub.s_pending_gap + 1;
-      Metrics.Counter.incr t.c_drops
-    in
-    if (not (Item.is_tuple item)) || sub.s_items < sub.s_capacity then accept ()
-    else
-      match t.policy with
-      | Block ->
-          (* an orphaned sub has no writer to drain it; blocking the
-             engine on one would trade a client failure for a wedge *)
-          if sub.s_orphaned then drop ()
-          else begin
-            while sub.s_items >= sub.s_capacity && not sub.s_dead && not sub.s_orphaned do
-              Condition.wait sub.s_not_full sub.smu
-            done;
-            if not sub.s_dead then if sub.s_orphaned then drop () else accept ()
-          end
-      | Drop_newest -> drop ()
-      | Disconnect ->
-          if sub.s_orphaned then drop ()
-          else begin
-            sub.s_dead <- true;
-            sub.s_disconnected <- true;
-            Metrics.Counter.incr t.c_disconnects;
-            Condition.broadcast sub.s_not_empty
-          end
+(* Under [smu]: the one place a batch enters the queue. A pending drop
+   run goes first, as one Gap marker in its true stream position — loss
+   is reported, never silent. *)
+let push sub batch =
+  if sub.s_pending_gap > 0 then begin
+    Queue.push (Rts.Batch.of_item (Item.Gap sub.s_pending_gap)) sub.sq;
+    sub.s_items <- sub.s_items + 1;
+    sub.s_pending_gap <- 0
   end;
+  Queue.push batch sub.sq;
+  sub.s_items <- sub.s_items + Rts.Batch.items batch;
+  match Rts.Batch.ctrl batch with Some Item.Eof -> sub.s_eof <- true | _ -> ()
+
+(* Engine side: runs on whatever domain delivers the node's output, once
+   per batch. Only tuples are subject to the policy; a control item
+   never waits and always lands (bounded overshoot), so stream position
+   and shutdown survive any policy. Block waits while the queue is full
+   and then admits the batch whole, overshooting by less than a batch;
+   Disconnect ends the link at the first tuple that does not fit; an
+   orphaned sub, and Drop_newest, keep the prefix that fits and count
+   the rest as drops. *)
+let enqueue t sub batch =
+  let n = Rts.Batch.n_tuples batch in
+  let block = t.policy = Block in
+  Mutex.lock sub.smu;
+  (* an orphaned sub has no writer to drain it; blocking the engine on
+     one would trade a client failure for a wedge *)
+  if block && n > 0 then
+    while sub.s_items >= sub.s_capacity && not (sub.s_dead || sub.s_orphaned) do
+      Condition.wait sub.s_not_full sub.smu
+    done;
+  let fit =
+    if block && not sub.s_orphaned then n else max 0 (min n (sub.s_capacity - sub.s_items))
+  in
+  (if sub.s_dead then ()
+   else if fit = n then push sub batch
+   else if t.policy = Disconnect && not sub.s_orphaned then begin
+     sub.s_dead <- true;
+     sub.s_disconnected <- true;
+     Metrics.Counter.incr t.c_disconnects
+   end
+   else begin
+     let prefix a = Array.sub a 0 fit in
+     if fit > 0 then
+       push sub
+         (Rts.Batch.make
+            ?stamps:(Option.map prefix (Rts.Batch.stamps batch))
+            (prefix (Rts.Batch.tuples batch)) None);
+     sub.s_pending_gap <- sub.s_pending_gap + (n - fit);
+     Metrics.Counter.add t.c_drops (n - fit);
+     Option.iter (fun c -> push sub (Rts.Batch.of_item c)) (Rts.Batch.ctrl batch)
+   end);
+  Condition.signal sub.s_not_empty;
   Mutex.unlock sub.smu
 
-(* Whole-batch fanout keeps the stamp column alongside the tuples; the
-   per-item egress queues then carry each tuple's stamp individually. *)
+(* Every subscriber queues the engine's batch itself. A sub withholding
+   its first batch (see [add_sub]) still queues that batch's control
+   item. *)
 let fanout t qname batch =
   let targets =
     Mutex.lock t.mu;
@@ -222,20 +234,13 @@ let fanout t qname batch =
     Mutex.unlock t.mu;
     l
   in
-  let tuples = Rts.Batch.tuples batch in
-  let stamps = Rts.Batch.stamps batch in
   List.iter
     (fun sub ->
-      if sub.s_skip_batch then sub.s_skip_batch <- false
-      else
-        Array.iteri
-          (fun i v ->
-            let s = match stamps with Some st -> st.(i) | None -> 0 in
-            enqueue t sub (Item.Tuple v) s)
-          tuples;
-      match Rts.Batch.ctrl batch with
-      | Some ctrl -> enqueue t sub ctrl 0
-      | None -> ())
+      if not sub.s_skip_batch then enqueue t sub batch
+      else begin
+        sub.s_skip_batch <- false;
+        Option.iter (fun c -> enqueue t sub (Rts.Batch.of_item c)) (Rts.Batch.ctrl batch)
+      end)
     targets
 
 let attach_queries t =
@@ -366,6 +371,7 @@ let add_sub t qname =
       s_disconnected = false;
       s_orphaned = false;
       s_sent = 0;
+      s_lost_ctrl = None;
       s_pending_gap = 0;
       s_conn = None;
       s_skip_batch = skip_batch;
@@ -410,32 +416,27 @@ let orphan_sub sub =
   Condition.broadcast sub.s_not_empty;
   Mutex.unlock sub.smu
 
-(* Drain the egress queue to the socket, coalescing runs of tuples into
-   one wire batch per run (ctrl items seal, mirroring Rts.Batch).
+(* Drain the egress queue to the socket, one wire batch per run of
+   queued batches: at least one, at most [max_run] items, ending at the
+   first batch that carries a control item, which seals the frame in its
+   true position. A failed send {e orphans} the sub rather than killing
+   it — the queue keeps collecting (with in-band gap markers once full)
+   so a [Resume] can pick up where the socket died. *)
+let max_run = 512
 
-   [initial_gap] is the loss to announce before any data: the in-flight
-   tuples a resumed client missed, or [-1] (unknown) when the original
-   queue could not be recovered. A failed send {e orphans} the sub
-   rather than killing it — the queue keeps collecting (with in-band gap
-   markers once full) so a [Resume] can pick up where the socket died. *)
-let writer_loop ?(initial_gap = 0) t conn sub =
+let writer_loop t conn sub =
   Mutex.lock sub.smu;
   sub.s_conn <- Some conn;
+  let lost = sub.s_lost_ctrl in
+  sub.s_lost_ctrl <- None;
   Mutex.unlock sub.smu;
-  let send_batch tuples ctrl =
-    (match ctrl with Some (Item.Gap _) -> Metrics.Counter.incr t.c_gaps | _ -> ());
-    let vals = Array.of_list (List.rev_map fst tuples) in
-    let stamps =
-      if List.exists (fun (_, s) -> s <> 0) tuples then
-        Some (Array.of_list (List.rev_map snd tuples))
-      else None
-    in
-    let batch = Wire.Batch.make ?stamps vals ctrl in
+  let send batch =
+    (match Rts.Batch.ctrl batch with Some (Item.Gap _) -> Metrics.Counter.incr t.c_gaps | _ -> ());
     match Conn.send conn (Wire.Batch batch) with
-    | Ok () ->
+    | Ok () -> (
         (* egress latency closes here: the stamped tuple has left the
            server for this subscriber's socket *)
-        (match stamps with
+        (match Rts.Batch.stamps batch with
         | Some st ->
             let now = Clock.now_ns () in
             Array.iter
@@ -443,66 +444,65 @@ let writer_loop ?(initial_gap = 0) t conn sub =
                 if s <> 0 then Metrics.Histogram.observe sub.s_latency (now -. float_of_int s))
               st
         | None -> ());
-        true
+        match Rts.Batch.ctrl batch with Some Item.Eof -> `Eof | _ -> `Sent)
     | Error e ->
         Log.debug (fun m -> m "subscriber %s: %s" (Conn.peer conn) e);
-        false
+        Mutex.lock sub.smu;
+        sub.s_lost_ctrl <- Rts.Batch.ctrl batch;
+        Mutex.unlock sub.smu;
+        `Lost
   in
-  let rec flush_items items =
-    (* items arrive oldest-first; accumulate tuples reversed, seal on ctrl *)
-    let rec go tuples = function
-      | [] -> if tuples = [] then `Sent else if send_batch tuples None then `Sent else `Dead
-      | (Item.Tuple v, s) :: rest -> go ((v, s) :: tuples) rest
-      | (((Item.Punct _ | Item.Flush | Item.Error _ | Item.Gap _) as ctrl), _) :: rest ->
-          if send_batch tuples (Some ctrl) then go [] rest else `Dead
-      | (Item.Eof, _) :: _ -> if send_batch tuples (Some Item.Eof) then `Eof else `Dead
-    in
-    go [] items
-  and loop () =
+  (* A run is popped newest first; only its newest batch can carry a
+     control item. *)
+  let rec take run items =
+    match Queue.peek_opt sub.sq with
+    | Some b when run = [] || items + Rts.Batch.items b <= max_run ->
+        ignore (Queue.pop sub.sq);
+        let run = b :: run and items = items + Rts.Batch.items b in
+        if Option.is_none (Rts.Batch.ctrl b) then take run items else (run, items)
+    | _ -> (run, items)
+  in
+  let frame = function
+    | [ b ] -> b
+    | run ->
+        let column f = Array.concat (List.rev_map f run) in
+        let stamps b =
+          match Rts.Batch.stamps b with Some st -> st | None -> Array.make (Rts.Batch.n_tuples b) 0
+        in
+        let stamped = List.exists (fun b -> Option.is_some (Rts.Batch.stamps b)) run in
+        Rts.Batch.make
+          ?stamps:(if stamped then Some (column stamps) else None)
+          (column Rts.Batch.tuples) (Rts.Batch.ctrl (List.hd run))
+  in
+  let rec loop () =
     Mutex.lock sub.smu;
     while sub.s_items = 0 && not sub.s_dead do
       Condition.wait sub.s_not_empty sub.smu
     done;
-    if sub.s_dead && sub.s_items = 0 then begin
+    if sub.s_disconnected || sub.s_items = 0 then begin
+      let disconnected = sub.s_disconnected in
       Mutex.unlock sub.smu;
-      if sub.s_disconnected then
+      if disconnected then
         ignore (Conn.send conn (Wire.Err "disconnected: slow consumer (policy disconnect)"));
       `Done
     end
     else begin
-      let n = min sub.s_items 512 in
-      let items = List.init n (fun _ -> Queue.pop sub.sq) in
+      let run, items = take [] 0 in
+      sub.s_items <- sub.s_items - items;
       (* popped is as good as sent for resume accounting: a tuple that
          dies between here and the socket is exactly what the client's
          token subtraction turns into a gap *)
-      List.iter (fun (it, _) -> if Item.is_tuple it then sub.s_sent <- sub.s_sent + 1) items;
-      sub.s_items <- sub.s_items - n;
+      sub.s_sent <- List.fold_left (fun n b -> n + Rts.Batch.n_tuples b) sub.s_sent run;
       Condition.broadcast sub.s_not_full;
-      let disconnected = sub.s_disconnected in
       Mutex.unlock sub.smu;
-      if disconnected then begin
-        ignore (Conn.send conn (Wire.Err "disconnected: slow consumer (policy disconnect)"));
-        `Done
-      end
-      else
-        match flush_items items with
-        | `Sent -> loop ()
-        | `Eof ->
-            ignore (Conn.send conn Wire.Bye);
-            `Done
-        | `Dead -> `Lost
+      match send (frame run) with `Sent -> loop () | (`Eof | `Lost) as r -> r
     end
   in
-  let announced =
-    if initial_gap = 0 then true
-    else begin
-      Metrics.Counter.incr t.c_gaps;
-      match Conn.send conn (Wire.Batch (Wire.Batch.make [||] (Some (Item.Gap initial_gap)))) with
-      | Ok () -> true
-      | Error _ -> false
-    end
-  in
-  match (if announced then loop () else `Lost) with
+  let first = match lost with Some c -> send (Rts.Batch.of_item c) | None -> `Sent in
+  match (match first with `Sent -> loop () | (`Eof | `Lost) as r -> r) with
+  | `Eof ->
+      ignore (Conn.send conn Wire.Bye);
+      remove_sub t sub
   | `Done -> remove_sub t sub
   | `Lost -> orphan_sub sub
 
@@ -596,6 +596,14 @@ let publish_loop t conn ing =
   loop ()
 
 let control_loop t conn =
+  (* The reply to Subscribe carries gap 0; the reply to Resume announces
+     the loss: what was popped past the client's position, or -1
+     (unknown) for a fresh queue. *)
+  let subscribed node sub gap =
+    Conn.send conn
+      (Wire.Subscribed
+         { name = Node.name node; schema = Node.schema node; sub_id = sub.sub_id; gap })
+  in
   let rec loop () =
     match Conn.recv conn with
     | Ok Wire.List_queries -> (
@@ -610,11 +618,7 @@ let control_loop t conn =
         | Some node ->
             let canonical = qkey (Node.name node) in
             let sub = add_sub t canonical in
-            (match
-               Conn.send conn
-                 (Wire.Subscribed
-                    { name = Node.name node; schema = Node.schema node; sub_id = sub.sub_id })
-             with
+            (match subscribed node sub 0 with
             | Ok () ->
                 Log.info (fun m -> m "%s subscribed to %s" (Conn.peer conn) (Node.name node));
                 writer_loop t conn sub
@@ -629,32 +633,28 @@ let control_loop t conn =
               Mutex.unlock t.mu;
               s
             in
-            let subscribed sub =
-              Conn.send conn
-                (Wire.Subscribed
-                   { name = Node.name node; schema = Node.schema node; sub_id = sub.sub_id })
+            let resumed sub gap =
+              Metrics.Counter.incr t.c_resumes;
+              if gap <> 0 then Metrics.Counter.incr t.c_gaps;
+              subscribed node sub gap
             in
             match existing with
             | Some sub when sub.sub_query = qkey (Node.name node) -> (
                 match claim_sub_wait sub with
                 | Some sent -> (
-                    (* replay from the egress queue; what was popped past
-                       the client's token is announced as a leading gap *)
-                    Metrics.Counter.incr t.c_resumes;
+                    (* replay from the egress queue *)
                     Log.info (fun m ->
                         m "%s resumed %s (sub %d, token %d, sent %d)" (Conn.peer conn)
                           (Node.name node) sub_id token sent);
-                    match subscribed sub with
-                    | Ok () -> writer_loop t conn sub ~initial_gap:(max 0 (sent - token))
+                    match resumed sub (max 0 (sent - token)) with
+                    | Ok () -> writer_loop t conn sub
                     | Error _ -> orphan_sub sub)
                 | None -> ignore (Conn.send conn (Wire.Err "subscription not resumable")))
             | Some _ | None -> (
-                (* nothing to replay from: a fresh subscription whose
-                   first frame declares the unknown loss explicitly *)
+                (* nothing to replay from: a fresh subscription *)
                 let sub = add_sub t (qkey (Node.name node)) in
-                Metrics.Counter.incr t.c_resumes;
-                match subscribed sub with
-                | Ok () -> writer_loop t conn sub ~initial_gap:(-1)
+                match resumed sub (-1) with
+                | Ok () -> writer_loop t conn sub
                 | Error _ -> remove_sub t sub)))
     | Ok (Wire.Publish name) -> (
         let ing =

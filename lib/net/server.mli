@@ -10,10 +10,11 @@
 
     {b Threading.} Each listener runs an accept loop on its own thread;
     each connection gets a handler thread. Subscriber egress is
-    decoupled from the packet path by a bounded per-subscriber queue:
-    the engine-side fanout callback only enqueues (applying the
-    slow-consumer policy), and the connection's own thread drains the
-    queue to the socket. A stuck TCP peer therefore never stalls the
+    decoupled from the packet path by a bounded per-subscriber queue of
+    the engine's own batches: the engine-side fanout callback only
+    enqueues each batch it is handed (applying the slow-consumer
+    policy), and the connection's own thread drains the queue to the
+    socket, one wire batch per run of queued batches. A stuck TCP peer therefore never stalls the
     scheduler — unless the [Block] policy is chosen deliberately.
 
     {b Robustness.} A malformed frame, oversized frame, or half-written
@@ -23,16 +24,20 @@
 
 module Rts = Gigascope_rts
 
-(** What to do when a subscriber's egress queue is full:
-    - [Block]: backpressure the engine (the scheduler thread waits; use
-      when losing tuples is worse than stalling the packet path);
-    - [Drop_newest]: drop the incoming tuple, count it under
-      [net.subscriber.drops] — the default, matching the paper's
-      drop-not-block channels;
-    - [Disconnect]: kill the slow subscriber, count it under
-      [net.subscriber.disconnects].
-    Control items (punctuation, EOF) are always enqueued — a bounded
-    overshoot that keeps stream position and shutdown intact. *)
+(** What to do when a batch's tuples do not fit in a subscriber's
+    egress queue (its capacity counts items):
+    - [Block]: backpressure the engine (the scheduler thread waits while
+      the queue is full, then admits the batch whole; use when losing
+      tuples is worse than stalling the packet path);
+    - [Drop_newest]: keep the prefix that fits and drop the rest, counted
+      per tuple under [net.subscriber.drops] and announced in band as
+      one [Item.Gap] — the default, matching the paper's drop-not-block
+      channels;
+    - [Disconnect]: end the slow subscriber's link at the first tuple
+      that does not fit, counted under [net.subscriber.disconnects].
+    Control items (punctuation, EOF) never wait and are always enqueued
+    — a bounded overshoot that keeps stream position and shutdown
+    intact. *)
 type policy = Block | Drop_newest | Disconnect
 
 val policy_of_string : string -> (policy, string) result
@@ -84,9 +89,9 @@ val sever_subscribers : ?query:string -> t -> int
 (** Fault injection: abruptly close the socket under every live
     subscriber (of [query] only, when given), exactly as a pulled cable
     would. The subscriptions are orphaned, not removed — a client with
-    reconnect configured resumes and is told the precise loss as a
-    leading {!Gigascope_rts.Item.t} [Gap]. Returns the number of
-    connections severed. *)
+    reconnect configured resumes and is told the precise loss in the
+    resume reply, which it surfaces as one {!Gigascope_rts.Item.t}
+    [Gap]. Returns the number of connections severed. *)
 
 val drain : ?timeout:float -> t -> bool
 (** Wait (up to [timeout] seconds, default 10) until every {e attached}

@@ -6,7 +6,7 @@ module Ty = Gigascope_rts.Ty
 module Order_prop = Gigascope_rts.Order_prop
 module Sketch = Gigascope_sketch.Sketch
 
-let protocol_version = 2
+let protocol_version = 3
 let header_len = 9
 let max_payload = 16 * 1024 * 1024
 
@@ -17,7 +17,7 @@ type msg =
   | List_queries
   | Queries of query_info list
   | Subscribe of string
-  | Subscribed of { name : string; schema : Schema.t; sub_id : int }
+  | Subscribed of { name : string; schema : Schema.t; sub_id : int; gap : int }
   | Publish of string
   | Publish_ok of { iface : string; schema : Schema.t }
   | Batch of Batch.t
@@ -192,10 +192,11 @@ let put_payload buf = function
       put_u16 buf (List.length qs);
       List.iter (put_query_info buf) qs
   | Subscribe name | Publish name -> put_str buf name
-  | Subscribed { name; schema; sub_id } ->
+  | Subscribed { name; schema; sub_id; gap } ->
       put_str buf name;
       put_schema buf schema;
-      put_i64 buf sub_id
+      put_i64 buf sub_id;
+      put_i64 buf gap
   | Publish_ok { iface; schema } ->
       put_str buf iface;
       put_schema buf schema
@@ -389,7 +390,8 @@ let parse_payload tag cur =
       let name = get_str cur "subscribed name" in
       let schema = get_schema cur in
       let sub_id = get_i64 cur "subscribed sub id" in
-      Subscribed { name; schema; sub_id }
+      let gap = get_i64 cur "subscribed gap" in
+      Subscribed { name; schema; sub_id; gap }
   | 6 -> Publish (get_str cur "publish iface")
   | 7 ->
       let iface = get_str cur "publish_ok iface" in

@@ -11,7 +11,7 @@
     {v
       offset  size  field
       0       3     magic "GSW"
-      3       1     protocol version (2)
+      3       1     protocol version (3)
       4       1     message type
       5       4     payload length (bounded by max_payload)
       9       n     payload
@@ -20,8 +20,9 @@
     Version 2 extends the batch frame with an optional latency-stamp
     column: after the control-item section, an unconditional flag byte
     (0 = absent, 1 = present) followed, when present, by one i64 ingest
-    stamp per tuple (0 = unstamped). Version 1 frames are rejected as
-    [Corrupt] — both peers live in this repository.
+    stamp per tuple (0 = unstamped). Version 3 adds the resume gap to
+    [Subscribed]. Frames of an older version are rejected as [Corrupt] —
+    both peers live in this repository.
 
     The codec is pure — encode and decode work over [bytes], no IO — and
     total: {!decode} never raises, whatever the input; malformed input
@@ -55,9 +56,13 @@ type msg =
   | List_queries
   | Queries of query_info list
   | Subscribe of string  (** attach to the named query's output stream *)
-  | Subscribed of { name : string; schema : Schema.t; sub_id : int }
+  | Subscribed of { name : string; schema : Schema.t; sub_id : int; gap : int }
       (** [sub_id] names the server-side egress queue; quote it in a
-          [Resume] to re-attach to the same queue after a reconnect. *)
+          [Resume] to re-attach to the same queue after a reconnect.
+          [gap] is 0 in reply to [Subscribe]. In reply to [Resume] it is
+          the number of tuples lost in flight since the client's
+          position, or [-1] (unknown) when the queue could not be
+          recovered and a fresh one, counting from 0, replaces it. *)
   | Publish of string  (** feed the named ingest interface *)
   | Publish_ok of { iface : string; schema : Schema.t }
   | Batch of Batch.t
@@ -69,10 +74,11 @@ type msg =
   | Bye  (** clean close *)
   | Resume of { name : string; sub_id : int; token : int }
       (** Re-attach to subscription [sub_id] of query [name] after a
-          reconnect. [token] is the count of tuples the client has
-          already delivered; the server replays anything newer still in
-          the egress queue, or seals the first batch with an explicit
-          [Item.Gap] when tuples are unrecoverable. *)
+          reconnect. [token] is the client's position in the queue's
+          tuple sequence: tuples delivered plus tuples announced lost by
+          earlier resumes. The server replays anything newer still in
+          the egress queue and announces the rest in [Subscribed]'s
+          [gap]. *)
   | Heartbeat
       (** Liveness probe. Carries no payload; either side may send it
           when a connection idles so the peer's read deadline keeps

@@ -84,9 +84,12 @@ let push_local t batch =
     | Some ((Item.Eof | Item.Error _) as ctrl) ->
         (* An Eof must still get through or shutdown wedges: force a
            control-only batch in, evicting the oldest buffered batch
-           exactly as the item-at-a-time path evicted a buffered item. *)
+           exactly as the item-at-a-time path evicted a buffered item.
+           What the evicted batch carried is lost, and counted so. *)
         (match Ring.pop t.ring with
-        | Some old -> t.n_items <- t.n_items - Batch.items old
+        | Some old ->
+            t.n_items <- t.n_items - Batch.items old;
+            drop t old
         | None -> ());
         enqueue t (Batch.of_item ctrl);
         true

@@ -129,62 +129,60 @@ let parse spec =
 
 (* ------------------------------ firing ---------------------------------- *)
 
-(* One shared hit counter per point key: a [crash=n:3] clause fires on the
-   third time *that node* reaches the crash point, whichever thread gets
-   it there. *)
-let fires st clause key =
-  Mutex.lock st.mu;
-  let hit =
-    match Hashtbl.find_opt st.hits key with
-    | Some r ->
-        incr r;
-        !r
-    | None ->
-        Hashtbl.replace st.hits key (ref 1);
-        1
-  in
-  let result =
-    match clause.mode with
-    | Nth k -> hit = k
-    | Prob p ->
-        let rng =
-          match Hashtbl.find_opt st.rngs key with
-          | Some r -> r
-          | None ->
-              let r = Prng.create (st.plan.seed lxor Hashtbl.hash key) in
-              Hashtbl.replace st.rngs key r;
-              r
-        in
-        Prng.float rng 1.0 < p
-  in
-  Mutex.unlock st.mu;
-  result
-
-let lookup kind target =
+(* The clauses of [kind] for [target] that fire on this visit. Each point
+   key has one hit counter, shared across threads and advanced once per
+   visit, and every clause is tested against that number: a
+   [crash=n:3] clause fires on the third time {e that node} reaches the
+   crash point, whichever thread gets it there, and
+   [crash=n:3,crash=n:5] fires on the third and the fifth. A point no
+   clause names counts nothing. *)
+let fired kind target =
   match Atomic.get installed with
   | None -> []
-  | Some st ->
-      List.filter_map
-        (fun c ->
-          if c.kind = kind && (c.target = "" || c.target = target) then Some (st, c) else None)
-        st.plan.clauses
+  | Some st -> (
+      match
+        List.filter
+          (fun c -> c.kind = kind && (c.target = "" || c.target = target))
+          st.plan.clauses
+      with
+      | [] -> []
+      | clauses ->
+          let key = kind ^ "/" ^ target in
+          Mutex.lock st.mu;
+          let hit =
+            match Hashtbl.find_opt st.hits key with
+            | Some r ->
+                incr r;
+                !r
+            | None ->
+                Hashtbl.replace st.hits key (ref 1);
+                1
+          in
+          let fires c =
+            match c.mode with
+            | Nth k -> hit = k
+            | Prob p ->
+                let rng =
+                  match Hashtbl.find_opt st.rngs key with
+                  | Some r -> r
+                  | None ->
+                      let r = Prng.create (st.plan.seed lxor Hashtbl.hash key) in
+                      Hashtbl.replace st.rngs key r;
+                      r
+                in
+                Prng.float rng 1.0 < p
+          in
+          let result = List.filter fires clauses in
+          Mutex.unlock st.mu;
+          result)
 
 let crash_point ~node =
-  List.iter
-    (fun (st, c) ->
-      if fires st c ("crash/" ^ node) then
-        raise (Injected (Printf.sprintf "injected crash at %s" node)))
-    (lookup "crash" node)
+  if fired "crash" node <> [] then raise (Injected (Printf.sprintf "injected crash at %s" node))
 
 let stall_point ~chan =
-  List.iter
-    (fun (st, c) -> if fires st c ("stall/" ^ chan) then Thread.delay (c.ms /. 1000.0))
-    (lookup "stall" chan)
+  List.iter (fun c -> Thread.delay (c.ms /. 1000.0)) (fired "stall" chan)
 
-let xclose_point ~chan close =
-  List.iter
-    (fun (st, c) -> if fires st c ("xclose/" ^ chan) then close ())
-    (lookup "xclose" chan)
+let xclose_point ~chan close = if fired "xclose" chan <> [] then close ()
 
 (* Connection-level verdict for one outgoing frame. At most one action
    fires per frame, checked in severity order. [Torn n] asks the sender
@@ -194,21 +192,13 @@ let xclose_point ~chan close =
 type send_action = Pass | Torn of int | Drop | Delay of float | Disconnect
 
 let send_point ~peer ~len =
-  let check kind mk =
-    List.fold_left
-      (fun acc (st, c) ->
-        match acc with Some _ -> acc | None -> if fires st c (kind ^ "/" ^ peer) then Some (mk c) else None)
-      None (lookup kind "")
-  in
-  match check "disconnect" (fun _ -> Disconnect) with
-  | Some a -> a
-  | None -> (
-      match check "torn" (fun _ -> Torn (max 1 (len / 2))) with
-      | Some a -> a
-      | None -> (
-          match check "drop" (fun _ -> Drop) with
-          | Some a -> a
-          | None -> (
-              match check "delay" (fun c -> Delay (c.ms /. 1000.0)) with
-              | Some a -> a
-              | None -> Pass)))
+  match fired "disconnect" peer with
+  | _ :: _ -> Disconnect
+  | [] -> (
+      match fired "torn" peer with
+      | _ :: _ -> Torn (max 1 (len / 2))
+      | [] -> (
+          match fired "drop" peer with
+          | _ :: _ -> Drop
+          | [] -> (
+              match fired "delay" peer with c :: _ -> Delay (c.ms /. 1000.0) | [] -> Pass)))

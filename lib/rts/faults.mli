@@ -20,8 +20,10 @@
     v}
 
     [=K] clauses fire exactly once, on the Kth hit of that point — the
-    per-point hit counter is shared across threads, so "the 3rd step of
-    node n" means the same event in every run. [~P] clauses fire with
+    per-point hit counter is shared across threads and counts each visit
+    once, however many clauses name the point, so "the 3rd step of node
+    n" means the same event in every run and [crash=n:3,crash=n:5] fires
+    on the 3rd and the 5th. [~P] clauses fire with
     probability P from a generator seeded by (seed, point identity), so
     they too replay identically for a given seed regardless of thread
     interleaving elsewhere. *)

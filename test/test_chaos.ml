@@ -80,17 +80,26 @@ let test_spec_rejects_garbage () =
       "crash" (* no mode at all *);
     ]
 
+(* A point's visit counts once, however many clauses name it. *)
 let test_nth_fires_exactly_once () =
-  with_faults "crash=op:3" (fun () ->
-      let fired = ref [] in
-      for i = 1 to 6 do
-        (* other nodes never match the target *)
-        Faults.crash_point ~node:"bystander";
-        match Faults.crash_point ~node:"op" with
-        | () -> ()
-        | exception Faults.Injected _ -> fired := i :: !fired
-      done;
-      check Alcotest.(list int) "fires on the 3rd hit only" [ 3 ] (List.rev !fired))
+  let visits_firing spec visit =
+    with_faults spec (fun () -> List.filter visit (List.init 8 (fun i -> i + 1)))
+  in
+  let crash _ =
+    (* other nodes never match the target *)
+    Faults.crash_point ~node:"bystander";
+    match Faults.crash_point ~node:"op" with () -> false | exception Faults.Injected _ -> true
+  in
+  check Alcotest.(list int) "fires on the 3rd hit only" [ 3 ] (visits_firing "crash=op:3" crash);
+  check
+    Alcotest.(list int)
+    "a pair fires on the 3rd and the 5th hit" [ 3; 5 ]
+    (visits_firing "crash=op:3,crash=op:5" crash);
+  check
+    Alcotest.(list int)
+    "two connection clauses cut the 3rd and the 5th frame" [ 3; 5 ]
+    (visits_firing "disconnect=3,disconnect=5" (fun _ ->
+         Faults.send_point ~peer:"p" ~len:64 = Faults.Disconnect))
 
 let test_prob_replays_for_seed () =
   let pattern () =
@@ -622,6 +631,104 @@ let test_reconnect_resumes_after_disconnect () =
 let test_reconnect_survives_torn_write () =
   run_healing_scenario ~spec:"torn=3" ~label:"torn"
 
+(* Resume accounting over cuts placed by hand or by a fault plan. A
+   query relays [n] counting tuples, one per scheduler round, to one
+   reconnecting client; [on_round] runs after every round with the
+   server and the client's running (delivered, gap) totals, and may wait
+   on them or cut the link. The client's idle timeout turns a stream
+   that never ends into an error instead of a hang. Returns the final
+   totals and the number of resumes the server accepted. *)
+let run_resumable ?(spec = "") ~n ~on_round () =
+  let engine = E.create () in
+  Result.get_ok
+    (E.add_custom_source engine ~name:"steps" ~schema:int_schema
+       ~pull:(counting_source n).Rts.Node.pull ~clock:(fun () -> []));
+  (match E.install_program engine "DEFINE { query_name relay; } SELECT x FROM steps" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let server = Server.create engine in
+  let addr = Result.get_ok (Server.listen server (Addr.Unix_sock (fresh_sock_path ()))) in
+  let reconnect = { Client.default_reconnect with attempts = 10; base_delay = 0.01 } in
+  let client = Result.get_ok (Client.connect ~reconnect ~idle_timeout:5.0 addr) in
+  ignore (Result.get_ok (Client.subscribe client "relay"));
+  let delivered = Atomic.make 0 and gaps = Atomic.make 0 and err = ref None in
+  let totals () = (Atomic.get delivered, Atomic.get gaps) in
+  (* the plan is installed after the subscription, and the run resets
+     its counters, so a frame index counts from the run's first frame *)
+  with_faults spec (fun () ->
+      let reader =
+        Thread.create
+          (fun () ->
+            match
+              Client.iter client (function
+                | Item.Tuple _ -> Atomic.incr delivered
+                | Item.Gap g when g < 0 -> err := Some "unknown-size gap on a resumable sub"
+                | Item.Gap g -> ignore (Atomic.fetch_and_add gaps g)
+                | _ -> ())
+            with
+            | Ok () -> Client.close client
+            | Error e -> err := Some e)
+          ()
+      in
+      (match
+         E.run engine ~quantum:1 ~heartbeats:false ~on_round:(fun r -> on_round r server totals) ()
+       with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e);
+      Thread.join reader);
+  ignore (Server.drain ~timeout:5.0 server);
+  Server.stop server;
+  (match !err with Some e -> Alcotest.failf "%s client: %s" spec e | None -> ());
+  let delivered, gaps = totals () in
+  (delivered, gaps, counter_value (E.metrics_snapshot engine) "net.resumes")
+
+(* Two cuts, the second after the first resume's gap has reached the
+   client. Each cut lands while the queue is empty, so the next run the
+   writer pops dies with the socket: each resume has a loss to announce,
+   and the second must not announce the first one's again. *)
+let test_second_resume_announces_only_its_loss () =
+  let step = 20 in
+  let gaps_at_second_cut = ref 0 in
+  let cut_when server totals what ok =
+    await what (fun () -> ok (totals ()));
+    gaps_at_second_cut := snd (totals ());
+    check Alcotest.int "one link cut" 1 (Server.sever_subscribers server)
+  in
+  let delivered, gaps, resumes =
+    run_resumable ~n:(3 * step)
+      ~on_round:(fun r server totals ->
+        if r = step then cut_when server totals "step 1 delivered" (fun (d, _) -> d = step)
+        else if r = 2 * step then
+          cut_when server totals "step 2 accounted, with a gap" (fun (d, g) ->
+              d + g = 2 * step && g > 0))
+      ()
+  in
+  check Alcotest.int "two resumes" 2 resumes;
+  check Alcotest.bool "the second cut lost tuples too" true (gaps > !gaps_at_second_cut);
+  check Alcotest.int "delivered + gaps = emitted" (3 * step) (delivered + gaps)
+
+(* Every pair of cut frames over a short stream: wherever two cuts land
+   (a data frame, the Eof frame, a resume's handshake or reply, the
+   client's redial), delivered + gaps = emitted. Each round waits until
+   the client has accounted for its tuple, so frame k carries tuple k
+   until the first cut. *)
+let test_cut_pairs_conserve () =
+  let n = 6 in
+  for k1 = 1 to 11 do
+    for k2 = k1 + 1 to 12 do
+      let spec = Printf.sprintf "disconnect=%d,disconnect=%d" k1 k2 in
+      let delivered, gaps, _ =
+        run_resumable ~spec ~n
+          ~on_round:(fun r _ totals ->
+            await "round accounted" (fun () ->
+                let d, g = totals () in
+                d + g >= min r n))
+          ()
+      in
+      check Alcotest.int (spec ^ ": delivered + gaps = emitted") n (delivered + gaps)
+    done
+  done
+
 (* --------------------------- state watchdog ------------------------------ *)
 
 (* The regression behind the watchdog: a source whose schema imputes an
@@ -792,5 +899,7 @@ let () =
           tc "heartbeats keep an idle link alive" test_heartbeats_keep_idle_link_alive;
           tc "reconnect resumes after a cut" test_reconnect_resumes_after_disconnect;
           tc "reconnect survives a torn write" test_reconnect_survives_torn_write;
+          tc "second resume announces only its own loss" test_second_resume_announces_only_its_loss;
+          tc "every pair of cut frames conserves" test_cut_pairs_conserve;
         ] );
     ]

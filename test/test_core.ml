@@ -518,8 +518,8 @@ let test_env_clean_value_silent () =
 (* A custom stream of [n] tuples, all in one one-second epoch (ts = 1)
    with a distinct key k each, and [query] installed over it: an engine
    whose settings show in its metrics. *)
-let ticks_engine ?(n = 5000) query =
-  let engine = E.create () in
+let ticks_engine ?default_capacity ?(n = 5000) query =
+  let engine = E.create ?default_capacity () in
   let i = ref 0 in
   let field name order = { Rts.Schema.name; ty = Rts.Ty.Int; order } in
   Result.get_ok
@@ -555,6 +555,11 @@ let gauge snap name =
   match Metrics.find snap name with
   | Some (Metrics.Gauge v) -> int_of_float v
   | _ -> Alcotest.failf "no gauge %s" name
+
+let counter snap name =
+  match Metrics.find snap name with
+  | Some (Metrics.Counter n) -> n
+  | _ -> Alcotest.failf "no counter %s" name
 
 let shed_total snap =
   List.fold_left
@@ -612,6 +617,37 @@ let test_explicit_zero_batch_parallel () =
   check Alcotest.bool "parallel=0 warns" true (contains warnings "parallel=0");
   check Alcotest.int "batch 1" 1 (gauge snap "rts.scheduler.batch");
   check Alcotest.int "one domain" 1 (gauge snap "rts.scheduler.domains")
+
+(* A channel capacity below 1 used to fail the next install with
+   Ring.create's Invalid_argument, and a quantum below 1 to wedge the
+   scheduler: both now warn by name and take their default. *)
+let test_explicit_default_capacity_checked () =
+  List.iter
+    (fun cap ->
+      let engine, warnings =
+        capture_warnings (fun () -> ticks_engine ~default_capacity:cap ~n:100 select_ticks)
+      in
+      check Alcotest.bool
+        (Printf.sprintf "default_capacity=%d warns" cap)
+        true
+        (contains warnings (Printf.sprintf "default_capacity=%d" cap));
+      let snap = run_ok engine (fun e -> E.run e ()) in
+      check Alcotest.int "every tuple selected" 100 (counter snap "rts.node.sel.tuples_out"))
+    [ 0; -5 ]
+
+let test_explicit_quantum_checked () =
+  List.iter
+    (fun quantum ->
+      let engine = ticks_engine ~n:100 select_ticks in
+      let snap, warnings =
+        capture_warnings (fun () -> run_ok engine (fun e -> E.run e ~quantum ()))
+      in
+      check Alcotest.bool
+        (Printf.sprintf "quantum=%d warns" quantum)
+        true
+        (contains warnings (Printf.sprintf "quantum=%d" quantum));
+      check Alcotest.int "every tuple selected" 100 (counter snap "rts.node.sel.tuples_out"))
+    [ 0; -5 ]
 
 (* GIGASCOPE_SUPERVISE, _SHED, _LATENCY and _WATCHDOG are retired: each
    is set here to a value the engine once honoured, must be named in a
@@ -697,6 +733,10 @@ let () =
           Alcotest.test_case "valid state_slack stays silent" `Quick test_valid_state_slack;
           Alcotest.test_case "explicit batch/parallel 0 checked" `Quick
             test_explicit_zero_batch_parallel;
+          Alcotest.test_case "explicit default_capacity below 1 checked" `Quick
+            test_explicit_default_capacity_checked;
+          Alcotest.test_case "explicit quantum below 1 checked" `Quick
+            test_explicit_quantum_checked;
           Alcotest.test_case "retired variables only warn" `Quick test_retired_variables_warn;
           Alcotest.test_case "misspelt GIGASCOPE_PARALEL warns" `Quick
             test_misspelt_variable_warns;

@@ -78,7 +78,8 @@ let sample_msgs =
         { Wire.q_name = "odd"; q_kind = "hfta"; q_schema = schema_exotic };
       ];
     Wire.Subscribe "portcounts";
-    Wire.Subscribed { name = "portcounts"; schema = schema_exotic; sub_id = 7 };
+    Wire.Subscribed { name = "portcounts"; schema = schema_exotic; sub_id = 7; gap = 0 };
+    Wire.Subscribed { name = "portcounts"; schema = schema_small; sub_id = 8; gap = -1 };
     Wire.Publish "feed";
     Wire.Publish_ok { iface = "feed"; schema = schema_small };
     Wire.Batch sample_batch;
@@ -466,7 +467,7 @@ let test_loopback_drop_newest () =
                 | Error e -> fast_err := Some e)))
       ()
   in
-  let slow_count = ref 0 in
+  let slow_count = ref 0 and slow_gaps = ref 0 in
   let slow_err = ref None in
   let slow_thread =
     Thread.create
@@ -481,8 +482,10 @@ let test_loopback_drop_newest () =
                    the tiny egress queue must overflow *)
                 await "engine run" (fun () -> Atomic.get run_done);
                 match
-                  Client.iter c (fun item ->
-                      if Item.is_tuple item then incr slow_count)
+                  Client.iter c (function
+                    | Item.Tuple _ -> incr slow_count
+                    | Item.Gap g -> slow_gaps := !slow_gaps + g
+                    | _ -> ())
                 with
                 | Ok () -> Client.close c
                 | Error e -> slow_err := Some e)))
@@ -508,11 +511,71 @@ let test_loopback_drop_newest () =
   let drops = counter_value snap "net.subscriber.drops" in
   Alcotest.(check bool) "the stalled subscriber dropped" true (drops > 0);
   Alcotest.(check int) "every missing tuple is a counted drop" total (!slow_count + drops);
+  Alcotest.(check int) "the slow subscriber's gaps announce every drop" drops !slow_gaps;
   Alcotest.(check bool)
     "connection metrics counted" true
     (counter_value snap "net.connections" >= 2
     && counter_value snap "net.frames_out" > 0
     && counter_value snap "net.bytes_out" > 0)
+
+(* Block stalls the engine instead of dropping. The subscriber starts
+   reading only once its queue holds a full capacity of items, so the
+   engine has had to wait; it still gets the exact local stream, nothing
+   is dropped, and the run completes. With latency sampling on, the
+   stamped tuples reach net.latency.pay through the queue. *)
+let test_block_policy () =
+  let seed = 11 in
+  let baseline, _ = Workloads.exec payload_workload ~seed ~parallel:1 () in
+  let expected = List.assoc "pay" baseline in
+  let engine = E.create ~shards:1 () in
+  payload_workload.Workloads.setup ~seed engine;
+  (match E.install_program engine payload_program with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let srv = Server.create ~policy:Server.Block ~egress_capacity:32 engine in
+  (* what [add_sub] raises a small queue to *)
+  let capacity = max 32 (E.certified_burst engine "pay" + 64) in
+  let addr = Result.get_ok (Server.listen srv (Addr.Unix_sock (fresh_sock_path ()))) in
+  let depth () =
+    match Metrics.find (E.metrics_snapshot engine) "net.subscriber.queue_depth" with
+    | Some (Metrics.Gauge v) -> int_of_float v
+    | _ -> 0
+  in
+  let rows = ref [] and err = ref None in
+  let th =
+    Thread.create
+      (fun () ->
+        match Client.connect addr with
+        | Error e -> err := Some e
+        | Ok c -> (
+            match Client.subscribe c "pay" with
+            | Error e -> err := Some e
+            | Ok _ -> (
+                await "a full egress queue" (fun () -> depth () >= capacity);
+                match
+                  Client.iter c (function
+                    | Item.Tuple row -> rows := Workloads.row_to_string row :: !rows
+                    | _ -> ())
+                with
+                | Ok () -> Client.close c
+                | Error e -> err := Some e)))
+      ()
+  in
+  await "subscriber" (fun () -> Server.subscriber_count srv = 1);
+  (match E.run engine ~parallel:1 ~latency_sample:4 () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Thread.join th;
+  ignore (Server.drain ~timeout:5.0 srv);
+  Server.stop srv;
+  (match !err with Some e -> Alcotest.fail ("subscriber: " ^ e) | None -> ());
+  Alcotest.(check (list string)) "the exact local stream" expected (List.rev !rows);
+  let snap = E.metrics_snapshot engine in
+  Alcotest.(check int) "nothing dropped" 0 (counter_value snap "net.subscriber.drops");
+  match Metrics.find snap "net.latency.pay" with
+  | Some (Metrics.Histogram h) ->
+      Alcotest.(check bool) "stamped tuples reach net.latency.pay" true (h.Metrics.h_count > 0)
+  | _ -> Alcotest.fail "no net.latency.pay histogram"
 
 let test_disconnect_policy () =
   let seed = 12 in
@@ -874,6 +937,7 @@ let () =
       ( "server",
         [
           Alcotest.test_case "loopback under Drop_newest" `Quick test_loopback_drop_newest;
+          Alcotest.test_case "Block stalls the engine, drops nothing" `Quick test_block_policy;
           Alcotest.test_case "Disconnect severs the slow subscriber" `Quick test_disconnect_policy;
           Alcotest.test_case "list and unknown query" `Quick test_list_and_unknown_query;
           Alcotest.test_case "survives garbage connections" `Quick test_server_survives_garbage;

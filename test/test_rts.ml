@@ -1500,6 +1500,20 @@ let test_channel_depth_in_items () =
   | Some (Gigascope_obs.Metrics.Gauge v) -> check (Alcotest.float 0.0) "gauge in items" 12.0 v
   | _ -> Alcotest.fail "missing high_water gauge"
 
+let test_forced_eof_counts_eviction () =
+  (* three two-tuple batches into two slots, then an Eof: the third batch
+     is refused, and the Eof evicts the first to get in. Both losses are
+     drops, so delivered + drops = pushed. *)
+  let chan = Rts.Channel.create ~capacity:2 ~name:"edge" () in
+  let batch i = Rts.Batch.make (Array.init 2 (fun j -> [| vint ((2 * i) + j); vint 0 |])) None in
+  let accepted = List.map (fun i -> Rts.Channel.push_batch chan (batch i)) [ 0; 1; 2 ] in
+  check Alcotest.(list bool) "the third batch is refused" [ true; true; false ] accepted;
+  check Alcotest.bool "Eof always gets in" true (Rts.Channel.push chan Item.Eof);
+  let got = drain_channel chan in
+  check Alcotest.bool "Eof delivered last" true (List.rev got |> List.hd = Item.Eof);
+  let delivered = List.length (List.filter Item.is_tuple got) in
+  check Alcotest.int "delivered + drops = pushed" 6 (delivered + Rts.Channel.drops chan)
+
 let test_scheduler_end_to_end () =
   let mgr = Rts.Manager.create () in
   ignore (Result.get_ok (Rts.Manager.add_source mgr ~name:"s" ~schema:src_schema (counting_source 100)));
@@ -1667,6 +1681,8 @@ let () =
           Alcotest.test_case "promotion idempotent" `Quick test_promotion_idempotent;
           Alcotest.test_case "promotion capacity clamp" `Quick test_promotion_capacity_clamp;
           Alcotest.test_case "depth and high water in items" `Quick test_channel_depth_in_items;
+          Alcotest.test_case "forced Eof counts what it evicts" `Quick
+            test_forced_eof_counts_eviction;
         ] );
       ( "manager-scheduler",
         [
