@@ -245,12 +245,13 @@ val run :
     [supervise] (default [Fail_fast]) chooses the crash policy — see
     {!Rts.Supervisor}: [Fail_fast] turns any node crash into this run's
     [Error] (naming the node); [Isolate] poisons only the crashing
-    subtree ([Item.Error] then [Item.Eof] downstream); [Restart]
-    restarts stateless operators in place up to [restart_budget]
-    (default 3) times per node. [shed] (a fraction in (0,1], default
-    off) is a high-water mark: sources discard tuples while a subscriber
-    channel sits at or above it, counting them under [rts.shed.<node>]
-    and announcing them downstream as [Item.Gap].
+    subtree ([Item.Error] downstream at once, then, once its inputs
+    end, an [Item.Gap] counting what it discarded and [Item.Eof]);
+    [Restart] restarts stateless operators in place up to
+    [restart_budget] (default 3) times per node. [shed] (a fraction in
+    (0,1], default off) is a high-water mark: sources discard tuples
+    while a subscriber channel sits at or above it, counting them under
+    [rts.shed.<node>] and announcing them downstream as [Item.Gap].
 
     [latency_sample] (>= 0, default 0 = off) arms end-to-end latency
     measurement: every N-th source tuple is stamped at ingest and

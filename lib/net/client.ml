@@ -69,7 +69,16 @@ let dial ~peer_name ~idle_timeout addr =
           Conn.close conn;
           Error e)
 
-let connect ?(peer_name = "gsq-client") ?reconnect ?idle_timeout ?metrics addr =
+(* Clients of this process, numbered so that each default name is its
+   own: a Unix-domain server tells its clients apart by these names. *)
+let instances = Atomic.make 0
+
+let connect ?peer_name ?reconnect ?idle_timeout ?metrics addr =
+  let peer_name =
+    match peer_name with
+    | Some n -> n
+    | None -> Printf.sprintf "gsq-client-%d.%d" (Unix.getpid ()) (Atomic.fetch_and_add instances 1)
+  in
   let* conn = dial ~peer_name ~idle_timeout addr in
   let cnt name =
     match metrics with Some reg -> Metrics.counter reg name | None -> Metrics.Counter.make ()

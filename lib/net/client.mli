@@ -35,7 +35,9 @@ val connect :
   ?metrics:Gigascope_obs.Metrics.t ->
   Addr.t ->
   (t, string) result
-(** Dial, exchange [Hello] frames.
+(** Dial, exchange [Hello] frames. The client's [Hello] carries
+    [peer_name], repeated on every redial; by default a name of its
+    own, ["gsq-client-<pid>.<n>"] for the process's [n]th client.
 
     With [reconnect], a connection lost {e while subscribed} is
     self-healed: redial with exponential backoff plus seeded jitter,

@@ -17,7 +17,7 @@ let counters_in reg ~prefix =
 
 type t = {
   fd : Unix.file_descr;
-  peer_name : string;
+  mutable peer_name : string;
   counters : counters option;
   send_mu : Mutex.t;
   (* receive-side reassembly buffer; only the receiving thread touches it *)
@@ -34,8 +34,15 @@ let ignore_sigpipe =
     (if Sys.os_type = "Unix" then
        try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ())
 
+(* A frame goes out in one write, and the last frame of a burst (an
+   epoch's flush) is often short. With Nagle's algorithm on, that frame
+   would wait for the ACK of the frames before it, which the peer delays
+   by up to 40 ms (Linux), so an epoch's last results would arrive at
+   once or 40 ms late, by timing alone. A Unix-domain socket has no
+   such option, and setting it there fails harmlessly. *)
 let of_fd ?counters ?(peer = "?") fd =
   Lazy.force ignore_sigpipe;
+  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   {
     fd;
     peer_name = peer;
@@ -48,6 +55,7 @@ let of_fd ?counters ?(peer = "?") fd =
   }
 
 let peer t = t.peer_name
+let rename t name = t.peer_name <- name
 
 (* SO_RCVTIMEO/SO_SNDTIMEO: the kernel fails the blocking call with
    EAGAIN after [s] seconds instead of waiting forever — the mechanism

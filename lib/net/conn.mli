@@ -22,8 +22,14 @@ val counters_in : Gigascope_obs.Metrics.t -> prefix:string -> counters
 type t
 
 val of_fd : ?counters:counters -> ?peer:string -> Unix.file_descr -> t
+(** Wrap a connected socket. A TCP socket gets [TCP_NODELAY], so each
+    frame leaves when it is written. *)
 
 val peer : t -> string
+
+val rename : t -> string -> unit
+(** Set the name {!peer} returns, which also keys this connection's
+    fault-injection hit counters ({!Gigascope_rts.Faults.send_point}). *)
 
 val set_read_deadline : t -> float -> unit
 (** Fail a blocked {!recv} with ["recv: timeout (read deadline

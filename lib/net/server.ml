@@ -704,8 +704,17 @@ let control_loop t conn =
   in
   loop ()
 
-let handle_conn t fd peer_addr =
-  let peer = Addr.to_string (Addr.of_sockaddr peer_addr) in
+(* A TCP connection is named by the client's address. A Unix-domain
+   client has none, so its connection is named by the listener and the
+   name the client gives in its Hello, which its redials repeat: fault
+   points key their hit counters by this name, so each client keeps its
+   own count, one count across its reconnections. *)
+let handle_conn t fd ~listener peer_addr =
+  let peer =
+    match listener with
+    | Addr.Unix_sock _ -> Addr.to_string listener
+    | Addr.Tcp _ -> Addr.to_string (Addr.of_sockaddr peer_addr)
+  in
   let conn = Conn.of_fd ~counters:t.counters ~peer fd in
   let conn_id =
     Mutex.lock t.mu;
@@ -733,6 +742,9 @@ let handle_conn t fd peer_addr =
                        Wire.protocol_version)))
           else begin
             Log.debug (fun m -> m "hello from %s (%s)" who peer);
+            (match listener with
+            | Addr.Unix_sock _ -> Conn.rename conn (peer ^ "#" ^ who)
+            | Addr.Tcp _ -> ());
             match
               Conn.send conn (Wire.Hello { version = Wire.protocol_version; peer = t.peer_name })
             with
@@ -757,7 +769,7 @@ let accept_loop t lfd addr =
         let th =
           Thread.create
             (fun () ->
-              try handle_conn t fd peer_addr
+              try handle_conn t fd ~listener:addr peer_addr
               with exn ->
                 Metrics.Counter.incr t.c_errors;
                 Log.warn (fun m -> m "connection handler died: %s" (Printexc.to_string exn)))

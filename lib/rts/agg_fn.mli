@@ -37,45 +37,57 @@ type spec = {
           {!Value.No_value}, which the operators fold as [Null]. *)
 }
 
-type acc
-(** One group's accumulator for one aggregate. *)
+type t
+(** The accumulators of one list of aggregates over a fixed number of
+    slots, held by column: per aggregate, only the unboxed columns its
+    kind reads. [Count] keeps an int column; [Sum] and [Avg] the count
+    of numbers folded, an int sum, a [Float.Array] sum and a byte
+    flagging a folded [Float]; [Min] and [Max] a [Value.t] column; a
+    sketch kind a column of sketches. A slot is an index. *)
 
-val init : kind -> acc
+val create : spec array -> slots:int -> t
+(** [create specs ~slots]: accumulators for [specs] over [slots] slots,
+    allocated here, one array per column. A slot's contents are
+    undefined until its first {!reset}. *)
 
-val reset : acc -> unit
-(** Return [acc] to its {!init} state in place, so a reused LFTA slot
-    starts from zero without allocating a new accumulator. *)
+val reset : t -> int -> unit
+(** Return slot [i] to zero in place: counts and sums 0, no [Float]
+    folded, extrema [Null], a fresh sketch. Only a sketch allocates. *)
 
-val step : acc -> Value.t -> unit
-(** [step acc v] folds one tuple's argument value. [Count] counts every
-    step, whatever [v] is (a keyless [count] steps with [Null]); the
-    other kinds skip [Null] arguments, as in SQL. A sketch
-    accumulator folds a raw value by canonicalizing it into the sketch,
-    and a [Value.Sketch] argument (a lower level's partial) by merging
-    it — an incompatible state is skipped, mirroring how [Sum] skips a
-    string. *)
+val step : t -> int -> Value.t array -> unit
+(** [step t i tuple] folds [tuple] into slot [i]: each aggregate's
+    argument is evaluated on [tuple] ([Null] when there is none or it
+    raises {!Value.No_value}). [Count] counts every tuple, whatever the
+    argument; the other kinds skip a [Null] argument, as in SQL. An
+    [Int] adds to both sums, a [Float] to the float sum, and any other
+    kind is skipped by [Sum] and [Avg]. A sketch folds a raw value by
+    canonicalizing it into the sketch, and a [Value.Sketch] argument (a
+    lower level's partial) by merging it; an incompatible state is
+    skipped, as [Sum] skips a string. *)
 
-val step_tuple : spec -> acc -> Value.t array -> unit
-(** [step_tuple spec acc tuple] steps [acc] with [spec]'s argument
-    evaluated on [tuple]: [Null] when there is no argument or it raises
-    {!Value.No_value}. *)
+val move : src:t -> int -> dst:t -> int -> unit
+(** [move ~src i ~dst j] copies slot [i] of [src] into slot [j] of
+    [dst], which must hold the same aggregates; a sketch is shared, not
+    copied, so [src]'s slot must not be used again. *)
 
-val final : acc -> Value.t
-(** [Count] of nothing is 0; [Sum]/[Min]/[Max]/[Avg] of nothing is
-    [Null]. A partial sketch finalizes to a copied [Value.Sketch]; a
-    non-partial one to its estimate ([Int] for distinct/frequency
-    counts, a ["item:count,..."] [Str] for heavy hitters). *)
+val merge : t -> int -> src:t -> int -> unit
+(** [merge t i ~src j] folds slot [j] of [src] into slot [i] of [t], so
+    that splitting a group's tuples across slots and merging them is
+    indistinguishable from stepping them all into one slot — the
+    algebraic property that makes sharded sub-aggregation correct.
+    [src] is not mutated. Both must hold the same aggregates. Caveat:
+    for a float [Sum]/[Avg] the merged result can differ from the
+    unsplit one in the last ulp (float addition is not associative).
+    Sketches merge with [Sketch.merge_into], whose laws are exact. *)
 
-val merge_partial : acc -> acc -> unit
-(** [merge_partial acc other] folds [other]'s state into [acc], so that
-    splitting a group's tuples across accumulators and merging them is
-    indistinguishable from stepping them all into one accumulator —
-    the algebraic property that makes sharded sub-aggregation correct.
-    [other] is not mutated. Both accumulators must be of the same
-    [kind]. Caveat: for float [Sum]/[Avg] the merged result can differ
-    from the unsplit one in the last ulp (float addition is not
-    associative). Sketch accumulators delegate to [Sketch.merge_into],
-    whose laws are exact. *)
+val fill : t -> int -> Value.t array -> int -> unit
+(** [fill t i out off] writes slot [i]'s final values into [out.(off)]
+    onward, one per aggregate. [Count] of nothing is 0;
+    [Sum]/[Min]/[Max]/[Avg] of nothing is [Null]; a [Sum] is a [Float]
+    once any [Float] was folded. A partial sketch finalizes to a
+    copied [Value.Sketch]; a non-partial one to its estimate ([Int] for
+    distinct/frequency counts, a ["item:count,..."] [Str] for heavy
+    hitters). *)
 
 val sub_kinds : kind -> kind list
 (** Partials the LFTA computes: e.g. [Avg -> [Sum; Count]]; a sketch

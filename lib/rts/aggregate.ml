@@ -101,7 +101,8 @@ let new_bucket t epoch =
   | [] ->
       {
         epoch;
-        tbl = Group_table.create ~keys:(Array.length t.cfg.keys) ~slots:first_slots;
+        tbl =
+          Group_table.create ~keys:(Array.length t.cfg.keys) ~aggs:t.cfg.aggs ~slots:first_slots;
         hashes = Array.make first_slots 0;
         live = Array.make (first_slots / 2) 0;
         n = 0;
@@ -140,7 +141,7 @@ let bucket_for t v =
 let grow t b =
   let slots = 2 * Group_table.slots b.tbl in
   let mask = slots - 1 in
-  let tbl = Group_table.create ~keys:(Array.length t.cfg.keys) ~slots in
+  let tbl = Group_table.create ~keys:(Array.length t.cfg.keys) ~aggs:t.cfg.aggs ~slots in
   let hashes = Array.make slots 0 in
   let live = Array.make (slots / 2) 0 in
   for j = 0 to b.n - 1 do
@@ -173,11 +174,11 @@ let probe b key =
   done;
   if Group_table.occupied b.tbl !idx then !idx else - !idx - 1
 
-(* The accumulators of the tuple's group in [b], a new group's from
-   zero. *)
-let group_accs t b =
+(* The slot of the tuple's group in [b], a new group's inserted with
+   its accumulators from zero. *)
+let group_slot t b =
   let found = probe b t.key in
-  if found >= 0 then Group_table.accs b.tbl found
+  if found >= 0 then found
   else begin
     let idx =
       if 2 * (b.n + 1) <= Group_table.slots b.tbl then -found - 1
@@ -190,7 +191,8 @@ let group_accs t b =
     b.live.(b.n) <- idx;
     b.n <- b.n + 1;
     t.groups <- t.groups + 1;
-    Group_table.insert b.tbl idx t.key t.cfg.aggs
+    Group_table.insert b.tbl idx t.key;
+    idx
   end
 
 let emit_group t tbl idx ~emit =
@@ -255,10 +257,10 @@ let on_tuple t values ~emit =
               ~emit ()
           end
         end;
-        let accs = group_accs t (bucket_for t v) in
-        for i = 0 to Array.length accs - 1 do
-          Agg_fn.step_tuple cfg.aggs.(i) accs.(i) values
-        done
+        let b = bucket_for t v in
+        (* the slot first: a new group may double [b]'s table *)
+        let idx = group_slot t b in
+        Group_table.step b.tbl idx values
 
 let on_punct t bounds ~emit =
   match (t.cfg.punct_in, t.cfg.epoch_key) with

@@ -202,21 +202,14 @@ let pass ~quantum ~timed nodes =
     false nodes
 
 (* A domain is done once every node it steps has emitted its Eof and
-   drained its inputs. A poisoned node announces Error+Eof (and so reads
-   as exhausted) while its upstream may still be producing. If a worker
-   exited the moment its drain caught up, that producer would block
-   forever pushing into a full blocking channel nobody pops — and a
-   producer blocked mid-push is not parked, so the wedge probe cannot
-   see it. So a poisoned node also waits for every upstream to be
-   exhausted. Non-poisoned nodes only emit Eof after consuming their
-   inputs' Eofs, so for them the extra condition already holds. *)
+   drained its inputs. Every operator, a poisoned one included, emits
+   its Eof only after consuming each input's, so no upstream can still
+   be producing into a channel nobody pops — a producer blocked
+   mid-push is not parked, and the wedge probe could not see it. *)
 let finished nodes =
   List.for_all
     (fun n ->
-      Node.exhausted n
-      && Array.for_all (fun (_, chan) -> Channel.is_empty chan) (Node.inputs n)
-      && ((not (Node.is_poisoned n))
-         || Array.for_all (fun ((up : Node.t), _) -> Node.exhausted up) (Node.inputs n)))
+      Node.exhausted n && Array.for_all (fun (_, chan) -> Channel.is_empty chan) (Node.inputs n))
     nodes
 
 (* ---------------- worker domain loop ------------------------------------ *)

@@ -14,9 +14,9 @@ val pass : quantum:int -> timed:bool -> Node.t list -> bool
     service-time histogram. True if any node moved an item. *)
 
 val finished : Node.t list -> bool
-(** Every node has emitted its Eof and drained its inputs (and, if
-    poisoned, every upstream is exhausted too, so a producer is never
-    left pushing into a channel nobody pops). *)
+(** Every node has emitted its Eof and drained its inputs. An operator,
+    a poisoned one included, emits its Eof only after each input's, so
+    no producer is left pushing into a channel nobody pops. *)
 
 type signal
 

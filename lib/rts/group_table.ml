@@ -1,11 +1,12 @@
 (* The flat group table both aggregation operators keep their groups in,
    stored by column as the paper's generated C would lay it out: per
    group-key column an [int array] payload and one tag byte per slot,
-   plus one occupancy byte and one accumulator array per slot. Int, Ip
-   and Null keys live unboxed; a key of any other kind goes to a
-   [Value.t array] created the first time such a key lands in that
-   column. The operators own the policy (which slot a key goes to, when
-   a slot is emptied); this module owns the representation. *)
+   one occupancy byte per slot, and the aggregates' accumulator columns
+   ({!Agg_fn.t}) over the same slots. Int, Ip and Null keys live
+   unboxed; a key of any other kind goes to a [Value.t array] created
+   the first time such a key lands in that column. The operators own
+   the policy (which slot a key goes to, when a slot is emptied); this
+   module owns the representation. *)
 
 let tag_null = '\000'
 let tag_int = '\001'
@@ -21,7 +22,7 @@ type column = {
 type t = {
   cols : column array;
   used : Bytes.t;  (** '\001' marks an occupied slot *)
-  accs : Agg_fn.acc array array;  (** per slot; [[||]] until first used *)
+  accs : Agg_fn.t;
 }
 
 type key = {
@@ -31,15 +32,15 @@ type key = {
   mutable k_hash : int;
 }
 
-let empty = { cols = [||]; used = Bytes.empty; accs = [||] }
+let empty = { cols = [||]; used = Bytes.empty; accs = Agg_fn.create [||] ~slots:0 }
 
-let create ~keys ~slots =
+let create ~keys ~aggs ~slots =
   {
     cols =
       Array.init keys (fun _ ->
           { ints = Array.make slots 0; tags = Bytes.make slots tag_null; boxed = [||] });
     used = Bytes.make slots '\000';
-    accs = Array.make slots [||];
+    accs = Agg_fn.create aggs ~slots;
   }
 
 let slots t = Bytes.length t.used
@@ -117,28 +118,17 @@ let store_key t idx k =
     else if Array.length c.boxed > 0 then c.boxed.(idx) <- Value.Null
   done
 
-(* A slot's accumulators, from zero: created at the slot's first use,
-   reset in place after that. *)
-let insert t idx k aggs =
+let insert t idx k =
   Bytes.unsafe_set t.used idx '\001';
   store_key t idx k;
-  let accs = t.accs.(idx) in
-  if Array.length accs = 0 then begin
-    let accs = Array.map (fun sp -> Agg_fn.init sp.Agg_fn.kind) aggs in
-    t.accs.(idx) <- accs;
-    accs
-  end
-  else begin
-    Array.iter Agg_fn.reset accs;
-    accs
-  end
+  Agg_fn.reset t.accs idx
 
-let accs t idx = t.accs.(idx)
+let step t idx values = Agg_fn.step t.accs idx values
 let release t idx = Bytes.unsafe_set t.used idx '\000'
 
 let move ~src i ~dst j =
   Bytes.unsafe_set dst.used j '\001';
-  dst.accs.(j) <- src.accs.(i);
+  Agg_fn.move ~src:src.accs i ~dst:dst.accs j;
   for c = 0 to Array.length src.cols - 1 do
     let s = src.cols.(c) and d = dst.cols.(c) in
     let tag = Bytes.unsafe_get s.tags i in
@@ -155,10 +145,7 @@ let fill t idx virt =
   for i = 0 to n - 1 do
     virt.(i) <- slot_value t.cols.(i) idx
   done;
-  let accs = t.accs.(idx) in
-  for i = 0 to Array.length accs - 1 do
-    virt.(n + i) <- Agg_fn.final accs.(i)
-  done
+  Agg_fn.fill t.accs idx virt n
 
 (* The comparator reproduces polymorphic [compare] on the key arrays the
    slots would box: arrays of one length compare element by element, the

@@ -21,10 +21,11 @@ type config = {
 
 module Metrics = Gigascope_obs.Metrics
 
-(* The table is a {!Group_table} of [2^table_bits] slots, allocated at
-   the first tuple, so an LFTA that never sees one adds nothing to
-   installation. A group lands in slot [Value.hash_array key land mask]
-   and evicts the group it collides with. *)
+(* The table is a {!Group_table} of [2^table_bits] slots, its key and
+   accumulator columns allocated at the first tuple, so an LFTA that
+   never sees one adds nothing to installation. A group lands in slot
+   [Value.hash_array key land mask] and evicts the group it collides
+   with. *)
 type t = {
   cfg : config;
   mask : int;
@@ -104,25 +105,21 @@ let on_tuple t values ~emit =
     | exception Value.No_value -> ()
     | epoch ->
         if Group_table.slots t.tbl = 0 then
-          t.tbl <- Group_table.create ~keys:(Array.length cfg.keys) ~slots:(t.mask + 1);
+          t.tbl <-
+            Group_table.create ~keys:(Array.length cfg.keys) ~aggs:cfg.aggs ~slots:(t.mask + 1);
         if t.epoch_idx >= 0 then advance_epoch t epoch ~emit;
         let tbl = t.tbl in
         let idx = Group_table.hash t.key land t.mask in
-        let accs =
-          if not (Group_table.occupied tbl idx) then begin
-            t.occupied <- t.occupied + 1;
-            Group_table.insert tbl idx t.key cfg.aggs
-          end
-          else if Group_table.matches tbl idx t.key then Group_table.accs tbl idx
-          else begin
-            Metrics.Counter.incr t.evictions;
-            emit_slot t idx ~emit;
-            Group_table.insert tbl idx t.key cfg.aggs
-          end
-        in
-        for i = 0 to Array.length accs - 1 do
-          Agg_fn.step_tuple cfg.aggs.(i) accs.(i) values
-        done
+        if not (Group_table.occupied tbl idx) then begin
+          t.occupied <- t.occupied + 1;
+          Group_table.insert tbl idx t.key
+        end
+        else if not (Group_table.matches tbl idx t.key) then begin
+          Metrics.Counter.incr t.evictions;
+          emit_slot t idx ~emit;
+          Group_table.insert tbl idx t.key
+        end;
+        Group_table.step tbl idx values
 
 let op t =
   let on_ctrl ~input:_ item ~emit =

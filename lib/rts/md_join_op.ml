@@ -10,18 +10,20 @@ type config = {
 
 type t = {
   cfg : config;
-  accs : Agg_fn.acc array array;  (** per base row, per aggregate *)
+  accs : Agg_fn.t;  (** one slot per base row *)
   mutable epoch : Value.t;  (** open epoch value; Null before any tuple *)
   mutable epochs_emitted : int;
   mutable done_ : bool;
 }
 
-let fresh_accs cfg =
-  Array.map (fun _ -> Array.map (fun (s : Agg_fn.spec) -> Agg_fn.init s.Agg_fn.kind) cfg.aggs) cfg.base
-
 let make cfg =
   if Array.length cfg.base = 0 then invalid_arg "Md_join_op.make: empty base relation";
-  { cfg; accs = fresh_accs cfg; epoch = Value.Null; epochs_emitted = 0; done_ = false }
+  let rows = Array.length cfg.base in
+  let accs = Agg_fn.create cfg.aggs ~slots:rows in
+  for i = 0 to rows - 1 do
+    Agg_fn.reset accs i
+  done;
+  { cfg; accs; epoch = Value.Null; epochs_emitted = 0; done_ = false }
 
 let ahead cfg a b =
   match cfg.direction with
@@ -44,9 +46,10 @@ let emit_epoch t ~emit =
   t.epochs_emitted <- t.epochs_emitted + 1;
   Array.iteri
     (fun i base_row ->
-      let agg_values = Array.map Agg_fn.final t.accs.(i) in
+      let agg_values = Array.make (Array.length t.cfg.aggs) Value.Null in
+      Agg_fn.fill t.accs i agg_values 0;
       ignore (emit (Item.Tuple (t.cfg.assemble ~base:base_row ~epoch:t.epoch ~aggs:agg_values)));
-      Array.iter Agg_fn.reset t.accs.(i))
+      Agg_fn.reset t.accs i)
     t.cfg.base
 
 let on_tuple t values ~emit =
@@ -61,9 +64,7 @@ let on_tuple t values ~emit =
     else if ahead cfg v t.epoch then t.epoch <- v
   end;
   Array.iteri
-    (fun i base_row ->
-      if cfg.theta base_row values then
-        Array.iteri (fun j spec -> Agg_fn.step_tuple spec t.accs.(i).(j) values) cfg.aggs)
+    (fun i base_row -> if cfg.theta base_row values then Agg_fn.step t.accs i values)
     cfg.base
 
 let op t =

@@ -46,10 +46,16 @@ type t = {
   mutable out_buf : Value.t array array;
   mutable out_n : int;
   (* Failure model: the supervisor rules on crashes caught in the step
-     functions; a poisoned node has announced Error+Eof downstream and
-     only drains (discards) its inputs from then on. *)
+     functions; a poisoned node has announced Error downstream and only
+     drains (discards) its inputs from then on. An operator holds its
+     Eof until every input has delivered one ([eofs_in] counts them),
+     and announces what it discarded ([drained]: tuples plus the gaps
+     it received, -1 once a gap of unknown size arrives) as one Gap
+     before it. *)
   mutable supervisor : Supervisor.t option;
   mutable poisoned : bool;
+  mutable eofs_in : int;
+  mutable drained : int;
   (* Source-side load shedding: when set, a source discards pulled
      tuples while any subscriber channel sits at or above this fraction
      of its capacity, and announces the discard as an [Item.Gap] once
@@ -111,6 +117,8 @@ let make name kind schema behavior =
     out_n = 0;
     supervisor = None;
     poisoned = false;
+    eofs_in = 0;
+    drained = 0;
     shed_hw = None;
     shed_pending = 0;
     shed_c = Metrics.Counter.make ();
@@ -140,7 +148,6 @@ let state_peak t = t.state_peak
 let watchdog_trips t = Metrics.Counter.get t.watchdog_c
 let set_latency_sample t n = t.latency_sample <- max 0 n
 let latency_sample t = t.latency_sample
-let is_poisoned t = t.poisoned
 let shed_count t = Metrics.Counter.get t.shed_c
 let kind t = t.kind
 let schema t = t.schema
@@ -284,14 +291,26 @@ let make_op ~name ~kind ~schema ~op =
   t.op_emit <- emit t;
   t
 
+(* A poisoned operator's end: once every input has delivered its Eof,
+   the tuples and gaps it drained go out as one Gap, then its Eof. *)
+let end_poisoned t =
+  if (not t.eof_emitted) && t.eofs_in >= Array.length t.node_inputs then begin
+    if t.drained <> 0 then emit t (Item.Gap t.drained);
+    emit t Item.Eof
+  end
+
 (* Announce the failure downstream and stop producing. Tuples already
    in the output builder were emitted before the crash and are still
-   valid; the Error control item seals them into their batch. *)
+   valid; the Error control item seals them into their batch. A source
+   ends at once; an operator ends when its inputs do. *)
 let poison t msg =
   t.poisoned <- true;
   emit t (Item.Error msg);
-  if not t.eof_emitted then emit t Item.Eof;
-  match t.behavior with Src _ -> t.source_done <- true | Op _ -> ()
+  match t.behavior with
+  | Src _ ->
+      if not t.eof_emitted then emit t Item.Eof;
+      t.source_done <- true
+  | Op _ -> end_poisoned t
 
 let handle_crash t exn =
   match t.supervisor with
@@ -381,10 +400,13 @@ let step_source t ~quantum =
         !produced > 0
       end
 
-(* A poisoned node has already announced Error+Eof; it keeps consuming
+let add_drained t n = t.drained <- (if t.drained < 0 || n < 0 then -1 else t.drained + n)
+
+(* A poisoned node has already announced its Error; it keeps consuming
    (and discarding) its inputs so upstream nodes never wedge against a
    full channel into a dead consumer, and the completion check's
-   channels-empty condition still holds. *)
+   channels-empty condition still holds. What it discards is counted,
+   so delivered + gaps = total still holds downstream. *)
 let drain_poisoned t ~quantum =
   let progress = ref false in
   Array.iter
@@ -395,17 +417,24 @@ let drain_poisoned t ~quantum =
         match Channel.pop_batch chan with
         | Some batch ->
             consumed := !consumed + Batch.items batch;
-            progress := true
+            progress := true;
+            add_drained t (Batch.n_tuples batch);
+            (match Batch.ctrl batch with
+            | Some (Item.Gap n) -> add_drained t n
+            | Some Item.Eof -> t.eofs_in <- t.eofs_in + 1
+            | Some _ | None -> ())
         | None -> continue := false
       done)
     t.node_inputs;
+  end_poisoned t;
   !progress
 
 (* End-of-step state enforcement. The quantum bounds how far past the
    limit a node can get within one step, so checking between steps is
    enough. The Gap announcing the discarded state must precede the
-   Error/Eof that poisoning emits — downstream accounting then sees
-   the loss before the stream closes. *)
+   Error that poisoning emits — downstream accounting then sees the
+   loss before the stream closes; what the node drains after it
+   follows as one more Gap before its Eof. *)
 let check_watchdog t =
   let held = match t.behavior with Op op -> op.Operator.buffered () | Src _ -> 0 in
   if held > t.state_peak then t.state_peak <- held;
@@ -451,6 +480,12 @@ let step_inputs t ~quantum =
                       way. *)
                    consumed := !consumed + Batch.items batch;
                    progress := true;
+                   (* counted before the operator sees it: a crash
+                      while feeding this batch must not leave a
+                      poisoned node waiting for an Eof it consumed *)
+                   (match Batch.ctrl batch with
+                   | Some Item.Eof -> t.eofs_in <- t.eofs_in + 1
+                   | Some _ | None -> ());
                    let nt = Batch.n_tuples batch in
                    if nt > 0 then Metrics.Counter.add t.tuples_in nt;
                    (* Stamp propagation (consume-once): the first stamp

@@ -55,13 +55,15 @@ val set_shard : t -> int option -> unit
 val set_supervisor : t -> Supervisor.t option -> unit
 (** With a supervisor installed, an exception raised inside a step
     (operator dispatch or source pull) is submitted to it instead of
-    propagating: the node restarts, poisons itself (emitting
-    [Item.Error] then [Item.Eof], and draining its inputs from then on
-    so upstream never wedges), or escalates as {!Supervisor.Crashed}
-    according to the policy. Without one (the default), the exception
-    propagates as before. *)
-
-val is_poisoned : t -> bool
+    propagating: the node restarts, poisons itself, or escalates as
+    {!Supervisor.Crashed} according to the policy. A poisoned node
+    emits [Item.Error] at once and drains (discards) its inputs from
+    then on, so upstream never wedges; a source emits its [Item.Eof]
+    at once, and an operator once every input has delivered its own,
+    preceded by one [Item.Gap] counting the tuples it discarded and the
+    gaps it received ([-1] if any of those was of unknown size).
+    Without a supervisor (the default), the exception propagates as
+    before. *)
 
 val set_shed : t -> float option -> unit
 (** Sources only (no-op elsewhere): with [Some hw] (a fraction of

@@ -9,9 +9,10 @@
       [Error] naming the node. Matches pre-supervision behaviour, minus
       the raw backtrace.
     - {b isolate}: poison only the crashing node's subtree. The node
-      emits [Item.Error] then [Item.Eof], so downstream operators
-      terminate normally with explicitly partial results, and keeps
-      draining (discarding) its inputs so upstream never wedges.
+      emits [Item.Error], keeps draining (discarding) its inputs so
+      upstream never wedges, and once they end announces what it
+      discarded as an [Item.Gap] before its [Item.Eof], so downstream
+      operators terminate normally with explicitly partial results.
     - {b restart}: operators that declare a [reset] (stateless ones)
       are restarted in place, up to [restart_budget] times per node;
       an [Item.Gap] marks the items lost to the crash. Stateful or

@@ -729,6 +729,64 @@ let test_cut_pairs_conserve () =
     done
   done
 
+(* Two Unix-domain subscribers under one frame-indexed clause: each
+   client is a peer of its own, so each is cut at its own second frame.
+   Every round waits until both clients have accounted for its tuple
+   (or been cut), so frame k carries tuple k on each link. When every
+   Unix connection was named "unix:", the clause fired once, on the
+   second frame sent to either. *)
+let test_unix_peers_cut_apart () =
+  let n = 6 in
+  let engine = E.create () in
+  Result.get_ok
+    (E.add_custom_source engine ~name:"steps" ~schema:int_schema
+       ~pull:(counting_source n).Rts.Node.pull ~clock:(fun () -> []));
+  (match E.install_program engine "DEFINE { query_name relay; } SELECT x FROM steps" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let server = Server.create engine in
+  let addr = Result.get_ok (Server.listen server (Addr.Unix_sock (fresh_sock_path ()))) in
+  let subscriber () =
+    let c = Result.get_ok (Client.connect ~idle_timeout:5.0 addr) in
+    ignore (Result.get_ok (Client.subscribe c "relay"));
+    (c, Atomic.make 0, Atomic.make false, ref None)
+  in
+  let clients = [ subscriber (); subscriber () ] in
+  with_faults "disconnect=2" (fun () ->
+      let readers =
+        List.map
+          (fun (c, delivered, ended, result) ->
+            Thread.create
+              (fun () ->
+                result :=
+                  Some (Client.iter c (fun it -> if Item.is_tuple it then Atomic.incr delivered));
+                Atomic.set ended true)
+              ())
+          clients
+      in
+      (match
+         E.run engine ~quantum:1 ~heartbeats:false
+           ~on_round:(fun r ->
+             await "both links accounted" (fun () ->
+                 List.for_all
+                   (fun (_, delivered, ended, _) -> Atomic.get ended || Atomic.get delivered >= min r n)
+                   clients))
+           ()
+       with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e);
+      List.iter Thread.join readers);
+  ignore (Server.drain ~timeout:5.0 server);
+  Server.stop server;
+  List.iteri
+    (fun i (c, delivered, _, result) ->
+      check Alcotest.int (Printf.sprintf "subscriber %d got its first frame only" i) 1
+        (Atomic.get delivered);
+      check Alcotest.bool (Printf.sprintf "subscriber %d was cut" i) true
+        (match !result with Some (Error _) -> true | Some (Ok ()) | None -> false);
+      Client.close c)
+    clients
+
 (* --------------------------- state watchdog ------------------------------ *)
 
 (* The regression behind the watchdog: a source whose schema imputes an
@@ -830,6 +888,42 @@ let test_watchdog_isolates_certificate_violation () =
   check Alcotest.bool "sibling query is byte-identical to its solo run" true
     (List.rev !good_items = run_good_solo ())
 
+(* The same violation on one domain, three tuples a step, every setting
+   pinned: the watchdog trips on the three tuples the aggregate has
+   seen, and the 62 the poisoned node then drains must still be
+   announced, as one Gap before its Eof. *)
+let test_watchdog_announces_what_it_drains () =
+  let n = 64 in
+  let total = n + 1 in
+  let engine = E.create ~shards:1 () in
+  add_liar engine ~n;
+  (match E.install_program engine bad_query with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let items = ref [] in
+  Result.get_ok (Rts.Manager.on_item (E.manager engine) "bad" (fun it -> items := it :: !items));
+  (match
+     E.run engine ~parallel:1 ~batch:1 ~quantum:3 ~heartbeats:false ~state_slack:2.0
+       ~supervise:Supervisor.Isolate ()
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("isolate run must converge: " ^ e));
+  let items = List.rev !items in
+  let shape =
+    List.filter_map
+      (function
+        | Item.Tuple _ -> None
+        | Item.Gap g -> Some (Printf.sprintf "gap %d" g)
+        | Item.Error _ -> Some "error"
+        | Item.Eof -> Some "eof"
+        | _ -> Some "other")
+      items
+  in
+  check Alcotest.(list string) "trip gap, error, drained gap, eof"
+    [ "gap 3"; "error"; "gap 62"; "eof" ] shape;
+  let gaps = List.fold_left (fun acc it -> match it with Item.Gap g -> acc + g | _ -> acc) 0 items in
+  check Alcotest.int "delivered + gaps = total" total (count_tuples items + gaps)
+
 let test_honest_schema_is_rejected_statically () =
   (* same stream, honest (Unordered) schema: the certifier refuses it
      up front, naming the operator — the watchdog is only the backstop
@@ -890,6 +984,8 @@ let () =
         [
           tc "certificate violation isolated, gaps conserved"
             test_watchdog_isolates_certificate_violation;
+          tc "one domain, quantum 3: drained tuples announced"
+            test_watchdog_announces_what_it_drains;
           tc "honest schema rejected statically" test_honest_schema_is_rejected_statically;
         ] );
       ( "network healing",
@@ -901,5 +997,6 @@ let () =
           tc "reconnect survives a torn write" test_reconnect_survives_torn_write;
           tc "second resume announces only its own loss" test_second_resume_announces_only_its_loss;
           tc "every pair of cut frames conserves" test_cut_pairs_conserve;
+          tc "each unix client is cut at its own frame" test_unix_peers_cut_apart;
         ] );
     ]

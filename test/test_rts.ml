@@ -217,26 +217,104 @@ let show_row row =
             ctor ^ ":" ^ Value.to_string v)
           row))
 
+(* ---------------- the aggregate oracle, in plain arithmetic --------------- *)
+
+(* Every aggregate kind computed from a group's argument values with
+   list arithmetic, sharing no code with [Agg_fn]'s columns. [vs] are
+   the group's arguments in arrival order, [Null] where a tuple has
+   none. The heavy-hitter rendering is exact counts, highest first,
+   ties by item: the summary's own while it holds every distinct item,
+   so the oracle's [k] must exceed a group's distinct values. *)
+let oracle_final kind vs =
+  let present = List.filter (function Value.Null -> false | _ -> true) vs in
+  let nums = List.filter (function Value.Int _ | Value.Float _ -> true | _ -> false) present in
+  let fsum =
+    List.fold_left
+      (fun s -> function Value.Int i -> s +. float_of_int i | Value.Float f -> s +. f | _ -> s)
+      0.0 nums
+  in
+  let extremum better =
+    match present with
+    | [] -> Value.Null
+    | first :: rest ->
+        List.fold_left (fun best v -> if better (Value.compare v best) then v else best) first rest
+  in
+  match kind with
+  | Agg_fn.Count -> vint (List.length vs)
+  | Agg_fn.Sum ->
+      if nums = [] then Value.Null
+      else if List.exists (function Value.Float _ -> true | _ -> false) nums then Value.Float fsum
+      else vint (List.fold_left (fun s -> function Value.Int i -> s + i | _ -> s) 0 nums)
+  | Agg_fn.Avg -> if nums = [] then Value.Null else Value.Float (fsum /. float_of_int (List.length nums))
+  | Agg_fn.Min -> extremum (fun c -> c < 0)
+  | Agg_fn.Max -> extremum (fun c -> c > 0)
+  | Agg_fn.Sketch { sk = Agg_fn.Heavy _; partial = false } ->
+      let counts = Hashtbl.create 8 in
+      List.iter
+        (fun v ->
+          let item = Value.to_string v in
+          Hashtbl.replace counts item (1 + Option.value ~default:0 (Hashtbl.find_opt counts item)))
+        present;
+      let ranked =
+        List.sort
+          (fun (a, ca) (b, cb) -> if ca <> cb then compare cb ca else String.compare a b)
+          (Hashtbl.fold (fun item c acc -> (item, c) :: acc) counts [])
+      in
+      Value.Str (String.concat "," (List.map (fun (item, c) -> Printf.sprintf "%s:%d" item c) ranked))
+  | Agg_fn.Sketch _ -> invalid_arg "oracle_final: a final heavy-hitter sketch only"
+
+(* A group's finals for [specs] over its tuples, in arrival order. *)
+let oracle_finals (specs : Agg_fn.spec array) rows =
+  Array.map
+    (fun (sp : Agg_fn.spec) ->
+      oracle_final sp.kind
+        (List.map
+           (fun row ->
+             match sp.arg with
+             | None -> Value.Null
+             | Some f -> ( try f row with Value.No_value -> Value.Null))
+           rows))
+    specs
+
+(* The kinds the aggregate differentials cover, over a tuple's field
+   [field]: every arithmetic kind and a final heavy-hitter sketch. *)
+let oracle_heavy = Agg_fn.Sketch { sk = Agg_fn.Heavy { k = 64 }; partial = false }
+
+let oracle_specs
+    ?(kinds = Agg_fn.[| Count; Sum; Min; Max; Avg; oracle_heavy |]) field =
+  Array.map
+    (fun kind ->
+      let arg = match kind with Agg_fn.Count -> None | _ -> Some (fun t -> t.(field)) in
+      { Agg_fn.kind; arg })
+    kinds
+
+(* Arguments of every kind the kinds treat differently: Ints and dyadic
+   Floats (so every float sum is exact in any order), Null, and a
+   string that Sum and Avg skip. *)
+let arg_pool =
+  [| vint 3; vint (-2); vint 7; Value.Float 0.25; Value.Float 1.5; Value.Null; Value.Str "x" |]
+
 (* The reference the HFTA is held to: open groups in a list, grouped by
    [Value.equal_array] with the first tuple's key as the group's; a
    close emits the closing groups by epoch in stream order, then by
-   polymorphic [compare] on the key, through HAVING. It shares no code
-   with the operator's table. *)
+   polymorphic [compare] on the key, through HAVING, with the
+   aggregates computed by [oracle_finals]. It shares no code with the
+   operator's table or its accumulators. *)
 let reference_hfta (cfg : Rts.Aggregate.config) items =
   let out = ref [] and groups = ref [] and high_water = ref None and done_ = ref false in
   let dir = match cfg.direction with Order_prop.Asc -> 1 | Order_prop.Desc -> -1 in
   let ahead a b = dir * Value.compare a b > 0 in
   let epoch key = match cfg.epoch_key with Some ek -> key.(ek) | None -> Value.Null in
   let close closing =
-    let shut, kept = List.partition (fun (key, _, _) -> closing key) !groups in
+    let shut, kept = List.partition (fun (key, _) -> closing key) !groups in
     groups := kept;
-    let order (ka, _, _) (kb, _, _) =
+    let order (ka, _) (kb, _) =
       let c = dir * Value.compare (epoch ka) (epoch kb) in
       if c <> 0 then c else compare ka kb
     in
     List.iter
-      (fun (key, count, sum) ->
-        let virt = Array.append key [| vint !count; Agg_fn.final sum |] in
+      (fun (key, rows) ->
+        let virt = Array.append key (oracle_finals cfg.aggs (List.rev !rows)) in
         if match cfg.having with None -> true | Some h -> h virt then
           out := Item.Tuple (cfg.assemble virt) :: !out)
       (List.stable_sort order (List.rev shut))
@@ -259,17 +337,15 @@ let reference_hfta (cfg : Rts.Aggregate.config) items =
                          Rts.Aggregate.behind_threshold ~direction:cfg.direction ~band:cfg.band v
                        in
                        close (behind thr));
-                let count, sum =
-                  match List.find_opt (fun (k, _, _) -> Value.equal_array k key) !groups with
-                  | Some (_, count, sum) -> (count, sum)
+                let rows =
+                  match List.find_opt (fun (k, _) -> Value.equal_array k key) !groups with
+                  | Some (_, rows) -> rows
                   | None ->
-                      let g = (key, ref 0, Agg_fn.init Agg_fn.Sum) in
-                      groups := g :: !groups;
-                      let _, count, sum = g in
-                      (count, sum)
+                      let rows = ref [] in
+                      groups := (key, rows) :: !groups;
+                      rows
                 in
-                incr count;
-                Agg_fn.step_tuple cfg.aggs.(1) sum values)
+                rows := values :: !rows)
       | Item.Punct bounds -> (
           match (cfg.punct_in, cfg.epoch_key) with
           | Some (field, translate), Some _ -> (
@@ -309,28 +385,41 @@ let key_pool =
     Value.Str "miss";
   |]
 
+(* The HFTA against the oracle for every aggregate kind. A [dwell] case
+   keeps an epoch open for many tuples over a wider key pool, so a
+   bucket passes 8 groups and doubles (its accumulators move to the
+   new table), and later epochs reuse the emptied buckets' slots. *)
 let hfta_agg_matches_oracle =
   let gen =
     QCheck.Gen.(
-      let* epoch_key = bool and* desc = bool and* band = int_range 0 1 and* having = bool in
+      let* epoch_key = bool and* desc = bool and* band = int_range 0 1 and* having = bool
+      and* dwell = bool in
+      let drift = if dwell then frequency [ (20, return 0); (1, int_range (-1) 2) ] else int_range (-1) 2 in
+      let key = if dwell then oneof [ oneofa key_pool; map vint (int_range 10 40) ] else oneofa key_pool in
       let* steps =
-        list_size (int_range 0 80)
+        list_size
+          (int_range 0 (if dwell then 200 else 80))
           (frequency
              [
-               (12, map3 (fun d k v -> `Tuple (d, k, v)) (int_range (-1) 2) (oneofa key_pool)
-                      (oneofa [| vint 3; Value.Null; Value.Float 0.25 |]));
+               ((if dwell then 60 else 12), map3 (fun d k v -> `Tuple (d, k, v)) drift key (oneofa arg_pool));
                (1, map (fun d -> `Punct d) (int_range (-2) 1));
                (1, return `Flush);
              ])
       in
-      return (epoch_key, desc, band, having, steps))
+      return (epoch_key, desc, band, having, dwell, steps))
   in
-  let print (epoch_key, desc, band, having, steps) =
-    Printf.sprintf "epoch %b desc %b band %d having %b: %d steps" epoch_key desc band having
-      (List.length steps)
+  let print (epoch_key, desc, band, having, dwell, steps) =
+    Printf.sprintf "epoch %b desc %b band %d having %b dwell %b: %s" epoch_key desc band having dwell
+      (String.concat " "
+         (List.map
+            (function
+              | `Tuple (d, k, v) -> Printf.sprintf "(%d,%s)" d (show_row [| k; v |])
+              | `Punct d -> Printf.sprintf "punct%d" d
+              | `Flush -> "flush")
+            steps))
   in
   qtest ~count:500 "HFTA aggregation = offline group-by" (QCheck.make ~print gen)
-    (fun (epoch_key, desc, band, having, steps) ->
+    (fun (epoch_key, desc, band, having, _dwell, steps) ->
       let dir = if desc then -1 else 1 in
       (* epochs move with the stream, now and then one or two behind *)
       let e = ref 0 in
@@ -356,11 +445,7 @@ let hfta_agg_matches_oracle =
           epoch_key = (if epoch_key then Some 0 else None);
           direction = (if desc then Order_prop.Desc else Order_prop.Asc);
           band = float_of_int band;
-          aggs =
-            [|
-              { Agg_fn.kind = Agg_fn.Count; arg = None };
-              { Agg_fn.kind = Agg_fn.Sum; arg = Some (fun t -> t.(2)) };
-            |];
+          aggs = oracle_specs 2;
           assemble = Array.copy;
           having =
             (if having then Some (fun virt -> Value.compare virt.(2) (vint 1) > 0) else None);
@@ -370,6 +455,76 @@ let hfta_agg_matches_oracle =
       in
       let got = run_op (Rts.Aggregate.op (Rts.Aggregate.make cfg)) items in
       List.map show_item got = List.map show_item (reference_hfta cfg items))
+
+(* The LFTA's evicted and flushed partials, finished by an HFTA of the
+   super-aggregates, against the oracle over the raw tuples: a table of
+   1 to 8 slots and a handful of keys make most tuples evict, so slots
+   are reset and refilled all the time. Epochs only move forward here:
+   a late tuple reaching a closed HFTA epoch would open a second group,
+   which the one-level oracle cannot have. *)
+let lfta_hfta_matches_oracle =
+  let keys = [| vint 1; vint 2; vint 3; Value.Ip 1; Value.Str "a"; Value.Null; Value.Float 0.5 |] in
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 0 3)
+        (list_size (int_range 0 150)
+           (triple (frequency [ (8, return 0); (1, return 1) ]) (oneofa keys) (oneofa arg_pool))))
+  in
+  let print (bits, rows) =
+    Printf.sprintf "bits %d: %s" bits
+      (String.concat " " (List.map (fun (d, k, v) -> Printf.sprintf "(%d,%s)" d (show_row [| k; v |])) rows))
+  in
+  qtest ~count:300 "LFTA evictions + HFTA = offline group-by" (QCheck.make ~print gen)
+    (fun (bits, rows) ->
+      let e = ref 0 in
+      let items =
+        List.map
+          (fun (d, k, v) ->
+            e := !e + d;
+            Item.Tuple [| vint !e; k; v |])
+          rows
+        @ [ Item.Eof ]
+      in
+      let kinds = [| Agg_fn.Count; Agg_fn.Sum; Agg_fn.Min; Agg_fn.Max; oracle_heavy |] in
+      let keys = [| (fun (t : Value.t array) -> t.(0)); (fun t -> t.(1)) |] in
+      let lfta =
+        Rts.Lfta_aggregate.make
+          {
+            Rts.Lfta_aggregate.table_bits = bits;
+            pred = None;
+            keys;
+            epoch_key = Some 0;
+            direction = Order_prop.Asc;
+            band = 0.0;
+            aggs = oracle_specs ~kinds:(Array.map (fun k -> List.hd (Agg_fn.sub_kinds k)) kinds) 2;
+            assemble = Array.copy;
+            punct_in = None;
+            epoch_out = None;
+          }
+      in
+      let hfta_cfg aggs =
+        {
+          Rts.Aggregate.pred = None;
+          keys;
+          epoch_key = Some 0;
+          direction = Order_prop.Asc;
+          band = 0.0;
+          aggs;
+          assemble = Array.copy;
+          having = None;
+          epoch_out = None;
+          punct_in = None;
+        }
+      in
+      let super =
+        Array.mapi
+          (fun i k -> { Agg_fn.kind = List.hd (Agg_fn.super_kind k); arg = Some (fun t -> t.(2 + i)) })
+          kinds
+      in
+      let partials = run_op (Rts.Lfta_aggregate.op lfta) items in
+      let got = tuples (run_op (Rts.Aggregate.op (Rts.Aggregate.make (hfta_cfg super))) partials) in
+      let expected = tuples (reference_hfta (hfta_cfg (oracle_specs ~kinds 2)) items) in
+      List.map show_row got = List.map show_row expected)
 
 (* Without an epoch key the groups close only at Flush or Eof, in
    polymorphic [compare] order of their keys. *)
@@ -418,13 +573,13 @@ let group_table_compare_law =
       let rows = Array.of_list rows in
       let width = Array.length rows.(0) in
       let module G = Rts.Group_table in
-      let tbl = G.create ~keys:width ~slots:(Array.length rows) in
+      let tbl = G.create ~keys:width ~aggs:[||] ~slots:(Array.length rows) in
       let key = G.make_key width in
       let reads = Array.init width (fun i (t : Value.t array) -> t.(i)) in
       Array.iteri
         (fun slot row ->
           ignore (G.read_key key reads row ~epoch:(-1));
-          ignore (G.insert tbl slot key [||]))
+          G.insert tbl slot key)
         rows;
       let sign x = compare x 0 in
       let agree = ref true in
@@ -743,26 +898,23 @@ let test_lfta_int_ip_distinct () =
   check Alcotest.int "each key change evicts" 2 (Rts.Lfta_aggregate.evictions lfta)
 
 (* The table the flat columns replaced: one boxed key array per slot,
-   matched with [Value.equal_array]. Same slot index, same flush order. *)
+   matched with [Value.equal_array], its count and sum kept as the
+   slot's rows and computed by the oracle. Same slot index, same flush
+   order. *)
 let reference_lfta ~bits rows =
   let slots = Array.make (1 lsl bits) None in
   let out = ref [] in
-  let emit (key, accs) = out := Array.append key (Array.map Agg_fn.final accs) :: !out in
+  let specs = oracle_specs ~kinds:[| Agg_fn.Count; Agg_fn.Sum |] 1 in
+  let emit (key, rows) = out := Array.append key (oracle_finals specs (List.rev rows)) :: !out in
   List.iter
     (fun (row : Value.t array) ->
       let key = [| row.(0); row.(2) |] in
       let idx = Value.hash_array key land ((1 lsl bits) - 1) in
-      let accs =
-        match slots.(idx) with
-        | Some (k, accs) when Value.equal_array k key -> accs
-        | prev ->
-            Option.iter emit prev;
-            let accs = [| Agg_fn.init Agg_fn.Count; Agg_fn.init Agg_fn.Sum |] in
-            slots.(idx) <- Some (key, accs);
-            accs
-      in
-      Agg_fn.step accs.(0) Value.Null;
-      Agg_fn.step accs.(1) row.(1))
+      match slots.(idx) with
+      | Some (k, rows) when Value.equal_array k key -> slots.(idx) <- Some (k, row :: rows)
+      | prev ->
+          Option.iter emit prev;
+          slots.(idx) <- Some (key, [ row ]))
     rows;
   Array.iter (Option.iter emit) slots;
   List.rev_map show_row !out
@@ -1270,6 +1422,97 @@ let test_md_join_overlapping_groups () =
     ]
     strings
 
+(* md_join against the oracle for every aggregate kind: one accumulator
+   slot per base row, reset after each emitted epoch. A base row counts
+   the tuples whose port lies in its range; an epoch closes when the
+   epoch field moves past it, and a Flush emits the open epoch and
+   starts it again from zero. *)
+let md_join_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 4) (pair (int_range 0 9) (int_range 0 9)))
+        (list_size (int_range 0 120)
+           (frequency
+              [
+                ( 20,
+                  map3
+                    (fun d p v -> `Tuple (d, p, v))
+                    (frequency [ (6, return 0); (1, return 1) ])
+                    (int_range 0 9) (oneofa arg_pool) );
+                (1, return `Flush);
+              ])))
+  in
+  let print (base, steps) =
+    Printf.sprintf "base %s: %s"
+      (String.concat " " (List.map (fun (lo, hi) -> Printf.sprintf "[%d,%d]" lo hi) base))
+      (String.concat " "
+         (List.map
+            (function
+              | `Tuple (d, p, v) -> Printf.sprintf "(%d,%d,%s)" d p (Value.to_string v)
+              | `Flush -> "flush")
+            steps))
+  in
+  qtest ~count:300 "md_join = offline group-by per base row" (QCheck.make ~print gen)
+    (fun (base, steps) ->
+      let base = Array.of_list (List.mapi (fun i (lo, hi) -> [| vint i; vint lo; vint hi |]) base) in
+      let theta b s =
+        match (b.(1), b.(2), s.(1)) with
+        | Value.Int lo, Value.Int hi, Value.Int port -> port >= lo && port <= hi
+        | _ -> false
+      in
+      let aggs = oracle_specs 2 in
+      let md =
+        Rts.Md_join_op.make
+          {
+            Rts.Md_join_op.base;
+            theta;
+            aggs;
+            epoch_field = 0;
+            direction = Order_prop.Asc;
+            band = 0.0;
+            assemble = (fun ~base ~epoch ~aggs -> Array.append [| epoch; base.(0) |] aggs);
+          }
+      in
+      let e = ref 0 in
+      let items =
+        List.map
+          (function
+            | `Tuple (d, p, v) ->
+                e := !e + d;
+                Item.Tuple [| vint !e; vint p; v |]
+            | `Flush -> Item.Flush)
+          steps
+        @ [ Item.Eof ]
+      in
+      let got = tuples (run_op (Rts.Md_join_op.op md) items) in
+      let expected = ref [] and epoch = ref None and rows = ref [] in
+      let emit_epoch () =
+        Option.iter
+          (fun ep ->
+            Array.iter
+              (fun b ->
+                let mine = List.filter (theta b) (List.rev !rows) in
+                expected := Array.append [| ep; b.(0) |] (oracle_finals aggs mine) :: !expected)
+              base)
+          !epoch;
+        rows := []
+      in
+      List.iter
+        (function
+          | Item.Tuple t ->
+              (match !epoch with
+              | Some ep when Value.compare t.(0) ep > 0 ->
+                  emit_epoch ();
+                  epoch := Some t.(0)
+              | Some _ -> ()
+              | None -> epoch := Some t.(0));
+              rows := t :: !rows
+          | Item.Flush | Item.Eof -> emit_epoch ()
+          | _ -> ())
+        items;
+      List.map show_row got = List.rev_map show_row !expected)
+
 let test_md_join_empty_base_rejected () =
   Alcotest.check_raises "empty base" (Invalid_argument "Md_join_op.make: empty base relation")
     (fun () -> ignore (Rts.Md_join_op.make { (md_config ()) with Rts.Md_join_op.base = [||] }))
@@ -1640,6 +1883,7 @@ let () =
       ( "lfta-aggregate",
         [
           two_level_equivalence;
+          lfta_hfta_matches_oracle;
           Alcotest.test_case "eviction counting" `Quick test_lfta_eviction_counting;
           Alcotest.test_case "epoch advance emits its bound" `Quick test_lfta_epoch_bound;
           Alcotest.test_case "Int and Ip keys differ" `Quick test_lfta_int_ip_distinct;
@@ -1674,6 +1918,7 @@ let () =
           Alcotest.test_case "empty base rejected" `Quick test_md_join_empty_base_rejected;
           Alcotest.test_case "flush + punct" `Quick test_md_join_flush_and_punct;
           Alcotest.test_case "as a query node" `Quick test_md_join_in_manager;
+          md_join_matches_oracle;
         ] );
       ( "channel",
         [

@@ -11,7 +11,7 @@
    The matrix: every differential workload (test/workloads.ml) × three
    generator seeds × shards {2,4} × batch {1,64} × single-threaded and
    multi-domain. Below it, the pieces in isolation: the hash
-   partitioner's algebra, Agg_fn.merge_partial's split/merge laws for
+   partitioner's algebra, Agg_fn.merge's split/merge laws for
    every aggregate kind, the rts.shard.* metrics, the splitter's
    refusal reasons, and the GIGASCOPE_SHARDS warn-and-degrade knob. *)
 
@@ -124,14 +124,30 @@ let test_partitioner_distribution () =
     check Alcotest.int "hot key pinned" hot_owner (owner ~shards hot)
   done
 
-(* ------------------------ merge_partial's laws -------------------------- *)
+(* ---------------------------- merge's laws ------------------------------ *)
 
 let value_t = Alcotest.testable Value.pp Value.equal
 
-(* Splitting a value sequence across accumulators and merging must be
-   indistinguishable from stepping the whole sequence into one — for
+(* One aggregate of [kind] over a tuple's first field, in a column
+   store of [slots] slots, each reset. *)
+let store kind ~slots =
+  let t = Agg.create [| { Agg.kind; arg = Some (fun t -> t.(0)) } |] ~slots in
+  for i = 0 to slots - 1 do
+    Agg.reset t i
+  done;
+  t
+
+let final t i =
+  let out = [| Value.Null |] in
+  Agg.fill t i out 0;
+  out.(0)
+
+(* Splitting a value sequence across accumulator slots and merging must
+   be indistinguishable from stepping the whole sequence into one — for
    every kind, every split point (including empty sides), Nulls
-   skipped. Floats chosen dyadic so even Sum/Avg are exact here. *)
+   skipped. Floats chosen dyadic so even Sum/Avg are exact here. The
+   merged slots sit in two stores, so a merge reads another store's
+   columns. *)
 let test_merge_partial_laws () =
   let int_vs = List.map (fun i -> Value.Int i) [ 5; -3; 12; 0; 7; -3; 99; 1 ] in
   let float_vs =
@@ -139,39 +155,39 @@ let test_merge_partial_laws () =
   in
   let with_nulls = [ Value.Null; Value.Int 4; Value.Null; Value.Int (-9); Value.Int 4 ] in
   let sequences = [ ("ints", int_vs); ("floats", float_vs); ("nulls", with_nulls); ("empty", []) ] in
-  let feed acc vs =
-    List.iter (fun v -> Agg.step acc v) vs
+  let feed t i vs =
+    List.iter (fun v -> Agg.step t i [| v |]) vs
   in
   List.iter
     (fun kind ->
       List.iter
         (fun (vname, vs) ->
-          let whole = Agg.init kind in
-          feed whole vs;
-          let expected = Agg.final whole in
+          let whole = store kind ~slots:1 in
+          feed whole 0 vs;
+          let expected = final whole 0 in
           let n = List.length vs in
           for cut = 0 to n do
             let left = List.filteri (fun i _ -> i < cut) vs in
             let right = List.filteri (fun i _ -> i >= cut) vs in
-            let a = Agg.init kind and b = Agg.init kind in
-            feed a left;
-            feed b right;
-            Agg.merge_partial a b;
+            let a = store kind ~slots:2 and b = store kind ~slots:1 in
+            feed a 1 left;
+            feed b 0 right;
+            Agg.merge a 1 ~src:b 0;
             check value_t
               (Printf.sprintf "%s %s split@%d" (Agg.kind_to_string kind) vname cut)
-              expected (Agg.final a)
+              expected (final a 1)
           done;
-          (* element-wise: N singleton accumulators merged in order *)
-          let acc = Agg.init kind in
+          (* element-wise: N singleton slots merged in order *)
+          let acc = store kind ~slots:2 in
           List.iter
             (fun v ->
-              let one = Agg.init kind in
-              feed one [ v ];
-              Agg.merge_partial acc one)
+              Agg.reset acc 1;
+              feed acc 1 [ v ];
+              Agg.merge acc 0 ~src:acc 1)
             vs;
           check value_t
             (Printf.sprintf "%s %s element-wise" (Agg.kind_to_string kind) vname)
-            expected (Agg.final acc))
+            expected (final acc 0))
         sequences)
     [ Agg.Count; Agg.Sum; Agg.Min; Agg.Max; Agg.Avg ]
 

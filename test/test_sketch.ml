@@ -6,7 +6,7 @@
    bounds (so the root's numbers mean something), and their codec must
    be total (so a truncated or hostile frame is an Error, never an
    exception in the data plane). The split-then-merge differential at
-   the bottom mirrors test_shard.ml's merge_partial laws, now for the
+   the bottom mirrors test_shard.ml's merge laws, now for the
    Agg_fn sketch kinds the GSQL aggregates compile to. *)
 
 module Sketch = Gigascope_sketch.Sketch
@@ -326,10 +326,24 @@ let specs =
 
 let value_t = Alcotest.testable Value.pp Value.equal
 
+(* One aggregate of [kind] over a tuple's first field, in a column
+   store of [slots] slots, each reset; [final] reads a slot's value. *)
+let store kind ~slots =
+  let t = Agg.create [| { Agg.kind; arg = Some (fun t -> t.(0)) } |] ~slots in
+  for i = 0 to slots - 1 do
+    Agg.reset t i
+  done;
+  t
+
+let final t i =
+  let out = [| Value.Null |] in
+  Agg.fill t i out 0;
+  out.(0)
+
 (* the same law test_shard.ml proves for Count/Sum/Min/Max/Avg, for the
-   sketch kinds: split a group's values across accumulators (an edge
-   apiece), merge the partials, finalize — indistinguishable from one
-   accumulator that saw everything. *)
+   sketch kinds: split a group's values across accumulator slots (an
+   edge apiece), merge the partials, finalize — indistinguishable from
+   one slot that saw everything. *)
 let test_agg_split_merge () =
   let vs =
     List.init 400 (fun i ->
@@ -340,31 +354,28 @@ let test_agg_split_merge () =
   List.iter
     (fun (name, sk) ->
       let final_kind = Agg.Sketch { sk; partial = false } in
-      let whole = Agg.init final_kind in
-      List.iter (fun v -> Agg.step whole v) vs;
-      let expected = Agg.final whole in
+      let whole = store final_kind ~slots:1 in
+      List.iter (fun v -> Agg.step whole 0 [| v |]) vs;
+      let expected = final whole 0 in
       List.iter
         (fun cut ->
-          let a = Agg.init final_kind and b = Agg.init final_kind in
-          List.iteri (fun i v -> Agg.step (if i < cut then a else b) v) vs;
-          Agg.merge_partial a b;
-          check value_t (Printf.sprintf "%s split@%d" name cut) expected (Agg.final a))
+          let a = store final_kind ~slots:1 and b = store final_kind ~slots:1 in
+          List.iteri (fun i v -> if i < cut then Agg.step a 0 [| v |] else Agg.step b 0 [| v |]) vs;
+          Agg.merge a 0 ~src:b 0;
+          check value_t (Printf.sprintf "%s split@%d" name cut) expected (final a 0))
         [ 0; 1; 133; 399; 400 ];
-      (* the tree path: partial accumulators finalize to Value.Sketch
-         states; an upper level steps those states in and finalizes *)
-      let partial_kind = Agg.Sketch { sk; partial = true } in
-      let pa = Agg.init partial_kind and pb = Agg.init partial_kind in
-      List.iteri (fun i v -> Agg.step (if i < 200 then pa else pb) v) vs;
-      let top = Agg.init final_kind in
-      Agg.step top (Agg.final pa);
-      Agg.step top (Agg.final pb);
-      check value_t (name ^ " partial states relay") expected (Agg.final top);
+      (* the tree path: partial slots finalize to Value.Sketch states;
+         an upper level steps those states in and finalizes *)
+      let partial = store (Agg.Sketch { sk; partial = true }) ~slots:2 in
+      List.iteri (fun i v -> Agg.step partial (if i < 200 then 0 else 1) [| v |]) vs;
+      let top = store final_kind ~slots:1 in
+      Agg.step top 0 [| final partial 0 |];
+      Agg.step top 0 [| final partial 1 |];
+      check value_t (name ^ " partial states relay") expected (final top 0);
       (* nulls are skipped, as for every other aggregate *)
-      let n = Agg.init final_kind in
-      Agg.step n Value.Null;
-      check value_t (name ^ " null-only = empty")
-        (Agg.final (Agg.init final_kind))
-        (Agg.final n))
+      let n = store final_kind ~slots:2 in
+      Agg.step n 0 [| Value.Null |];
+      check value_t (name ^ " null-only = empty") (final n 1) (final n 0))
     specs
 
 let test_agg_kind_wiring () =
