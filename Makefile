@@ -112,13 +112,15 @@ ci-observability:
 # is exactly 5000; the awk check holds each printed estimate inside 10%
 # (HLL precision 12 promises ~1.6%) and the report must show the tree
 # actually reduced. The hard timeout is the clean-shutdown check: a
-# wedged node turns into exit 124, not a stuck job. Below that, the two
+# wedged node turns into exit 124, not a stuck job. Below that, the
 # one-line exit-1 contracts: an unreadable and an invalid topology for
-# cluster, an unbindable --listen for serve — each must fail with
-# status 1 and exactly one line on stderr. Last, gsq's settings reach
-# the engine's one check: an explicit --parallel 1 overrides
-# GIGASCOPE_PARALLEL, and --shed 0, outside (0,1], warns and sheds
-# nothing.
+# cluster, an unbindable --listen for serve, and for run a DEFINE
+# property whose value fails its check (lfta_bits 99) and one the
+# compiler does not read (placement 2) — each must fail with status 1
+# and exactly one line on stderr, naming the property where there is
+# one. Last, gsq's settings reach the engine's one check: an explicit
+# --parallel 1 overrides GIGASCOPE_PARALLEL, and --shed 0, outside
+# (0,1], warns and sheds nothing.
 ci-cluster:
 	printf 'root: e0 e1 e2\n' > .cluster-smoke.topo
 	timeout 60 dune exec bin/gsq.exe -- cluster .cluster-smoke.topo queries/cluster_distinct.gsql \
@@ -136,6 +138,14 @@ ci-cluster:
 	sh -c 'timeout 20 dune exec bin/gsq.exe -- serve queries/tcpdest.gsql \
 	    --listen 999.999.0.1:1 2> .cluster-smoke.err; test $$? -eq 1'
 	test "$$(wc -l < .cluster-smoke.err)" -eq 1
+	for p in 'lfta_bits 99' 'placement 2'; do \
+	  printf 'DEFINE { query_name p; %s; }\nSELECT tb, count(*) as c FROM eth0.tcp GROUP BY time/1 as tb\n' \
+	    "$$p" > .cluster-smoke.gsql; \
+	  timeout 20 dune exec bin/gsq.exe -- run .cluster-smoke.gsql --duration 0.2 \
+	    2> .cluster-smoke.err; test $$? -eq 1 || exit 1; \
+	  test "$$(wc -l < .cluster-smoke.err)" -eq 1 || exit 1; \
+	  grep -q "$${p% *}" .cluster-smoke.err || exit 1; \
+	done
 	GIGASCOPE_PARALLEL=2 timeout 20 dune exec bin/gsq.exe -- run queries/tcpdest.gsql \
 	    --duration 0.2 --parallel 1 --stats --max-rows 0 > .cluster-smoke.out
 	grep -Eq '^rts\.scheduler\.domains +gauge +1$$' .cluster-smoke.out
@@ -143,7 +153,7 @@ ci-cluster:
 	    --duration 0.2 --shed 0 --stats --max-rows 0 > .cluster-smoke.out 2> .cluster-smoke.err
 	grep -q 'ignoring shed=0' .cluster-smoke.err
 	awk '/^rts\.shed\./ { n++; if ($$3 != 0) bad = 1 } END { exit (bad || n == 0) }' .cluster-smoke.out
-	rm -f .cluster-smoke.topo .cluster-smoke.out .cluster-smoke.err
+	rm -f .cluster-smoke.topo .cluster-smoke.out .cluster-smoke.err .cluster-smoke.gsql
 
 bench:
 	dune exec bench/main.exe

@@ -160,10 +160,10 @@ let parallel =
     value & opt (some int) None
     & info ["parallel"] ~docv:"N"
         ~doc:
-          "Run the query network on N OCaml domains: HFTAs on worker domains, sources and \
-           LFTAs on the packet-path domain. Default $(b,GIGASCOPE_PARALLEL), else 1 \
-           (single-threaded); N below 1 warns and runs with 1. Output is byte-identical \
-           to a single-threaded run.")
+          "Run the query network on N OCaml domains: HFTAs on worker domains, as pipeline \
+           stages placed from the query graph, sources and LFTAs on the packet-path domain. \
+           Default $(b,GIGASCOPE_PARALLEL), else 1 (single-threaded); N below 1 warns and \
+           runs with 1. Output is byte-identical to a single-threaded run.")
 
 let batch =
   Arg.(
@@ -197,18 +197,6 @@ let latency_sample_arg =
            on a server). Unsampled tuples carry no stamp and cost nothing; 0 disables \
            sampling entirely. The percentiles surface through $(b,--stats), \
            $(b,--metrics-out), the $(b,--http) endpoint and $(b,gsq top).")
-
-let placement =
-  Arg.(
-    value
-    & opt (list (pair ~sep:'=' string int)) []
-    & info ["placement"] ~docv:"NODE=DOM,..."
-        ~doc:
-          "Pin named query nodes to execution domains (e.g. \
-           $(b,--placement total=1,volume=2)), overriding the automatic pipeline-stage \
-           HFTA placement. A placement whose domain graph is cyclic is rejected \
-           (bounded cross-domain channels would deadlock). Only meaningful with \
-           $(b,--parallel).")
 
 let inject =
   Arg.(
@@ -328,8 +316,8 @@ let setup_engine ~pcap_in ~iface ~gen_cfg ~sessions ~shards ~admit =
   engine
 
 let do_run query_file rate duration seed pcap_in iface max_rows sessions show_stats trace
-    metrics_out log_level parallel placement batch shards latency_sample inject supervise
-    shed allow_unbounded watchdog =
+    metrics_out log_level parallel batch shards latency_sample inject supervise shed
+    allow_unbounded watchdog =
   setup_logging log_level;
   install_inject inject;
   let text = read_file query_file in
@@ -376,7 +364,7 @@ let do_run query_file rate duration seed pcap_in iface max_rows sessions show_st
       Sys.catch_break true;
       (match
          E.run engine ~trace ?parallel ?batch ~latency_sample ?supervise ?shed
-           ?state_slack:watchdog ~placement ()
+           ?state_slack:watchdog ()
        with
       | Ok stats ->
           Printf.printf "-- done: %d rounds, %d heartbeats, %d drops\n"
@@ -399,9 +387,8 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const do_run $ query_file $ rate $ duration $ seed $ pcap_in $ iface $ max_rows
-      $ sessions $ stats $ trace $ metrics_out $ log_level $ parallel $ placement $ batch
-      $ shards_arg $ latency_sample_arg $ inject $ supervise_arg $ shed_arg $ allow_unbounded
-      $ watchdog_arg)
+      $ sessions $ stats $ trace $ metrics_out $ log_level $ parallel $ batch $ shards_arg
+      $ latency_sample_arg $ inject $ supervise_arg $ shed_arg $ allow_unbounded $ watchdog_arg)
 
 (* ---- serve ---- *)
 
@@ -492,7 +479,7 @@ let ingests =
            Repeatable.")
 
 let do_serve query_file rate duration seed pcap_in iface sessions show_stats trace
-    metrics_out log_level parallel placement batch shards latency_sample listen_addrs policy
+    metrics_out log_level parallel batch shards latency_sample listen_addrs policy
     egress wait_subscribers ingests heartbeat http_addr inject supervise shed allow_unbounded
     watchdog =
   setup_logging log_level;
@@ -586,8 +573,7 @@ let do_serve query_file rate duration seed pcap_in iface sessions show_stats tra
      prerr_endline "interrupted";
      finish 130);
   match
-    E.run engine ~trace ?parallel ?batch ~latency_sample ?supervise ?shed ?state_slack:watchdog
-      ~placement ()
+    E.run engine ~trace ?parallel ?batch ~latency_sample ?supervise ?shed ?state_slack:watchdog ()
   with
   | Ok stats ->
       Printf.printf "-- done: %d rounds, %d heartbeats, %d drops\n%!"
@@ -606,7 +592,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const do_serve $ query_file $ rate $ duration $ seed $ pcap_in $ iface $ sessions
-      $ stats $ trace $ metrics_out $ log_level $ parallel $ placement $ batch $ shards_arg
+      $ stats $ trace $ metrics_out $ log_level $ parallel $ batch $ shards_arg
       $ latency_sample_arg $ listen_addrs $ policy_arg $ egress $ wait_subscribers $ ingests
       $ heartbeat_arg $ http_addr $ inject $ supervise_arg $ shed_arg $ allow_unbounded
       $ watchdog_arg)

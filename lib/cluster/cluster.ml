@@ -92,7 +92,6 @@ let merge_node ~pname ~inputs ~schema ~ek =
     pschema = schema;
     pnic = None;
     ptable_bits = 0;
-    pplace = None;
     pshard = None;
   }
 
@@ -139,7 +138,6 @@ let relay_split plan (lfta : Gsql.Split.phys_node) (la : Gsql.Plan.agg_body) ~ek
       pschema = lschema;
       pnic = None;
       ptable_bits = 0;
-      pplace = None;
       pshard = None;
     }
   in

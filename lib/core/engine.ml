@@ -712,8 +712,8 @@ let on_tuple t name f =
     | Rts.Item.Tuple values -> f values
     | Rts.Item.Punct _ | Rts.Item.Flush | Rts.Item.Eof | Rts.Item.Error _ | Rts.Item.Gap _ -> ())
 
-let run t ?quantum ?heartbeats ?heartbeat_period ?on_round ?trace ?parallel ?placement ?batch
-    ?supervise ?(restart_budget = 3) ?shed ?latency_sample ?state_slack ?shards () =
+let run t ?quantum ?heartbeats ?on_round ?trace ?parallel ?batch ?supervise ?shed ?latency_sample
+    ?state_slack ?shards () =
   let* () =
     match shards with
     | Some n when max 1 n <> t.shards ->
@@ -736,7 +736,7 @@ let run t ?quantum ?heartbeats ?heartbeat_period ?on_round ?trace ?parallel ?pla
       Rts.Faults.install plan;
       Log.warn (fun m -> m "fault injection active: %s" (Rts.Faults.to_string plan)))
     (S.resolve S.faults None);
-  let supervisor = Rts.Supervisor.create ~policy ~restart_budget () in
+  let supervisor = Rts.Supervisor.create ~policy () in
   Log.info (fun m ->
       m "run: %d nodes; %s"
         (List.length (Rts.Manager.nodes t.mgr))
@@ -750,8 +750,8 @@ let run t ?quantum ?heartbeats ?heartbeat_period ?on_round ?trace ?parallel ?pla
              S.show_as S.faults (Rts.Faults.current ());
            ]));
   let result =
-    Rts.Scheduler.run ?quantum ?heartbeats ?heartbeat_period ?on_round ?trace ~domains
-      ?placement ~batch ~supervisor ?shed ~latency_sample ~state_slack t.mgr
+    Rts.Scheduler.run ?quantum ?heartbeats ?on_round ?trace ~domains ~batch ~supervisor ?shed
+      ~latency_sample ~state_slack t.mgr
   in
   (match result with
   | Ok stats ->
@@ -763,8 +763,6 @@ let run t ?quantum ?heartbeats ?heartbeat_period ?on_round ?trace ?parallel ?pla
   result
 
 let flush t name = Rts.Manager.flush t.mgr name
-
-let stats_report t = Rts.Manager.stats_report t.mgr
 
 let shard_report t =
   if t.shards <= 1 then ""

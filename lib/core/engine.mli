@@ -209,14 +209,11 @@ val run :
   t ->
   ?quantum:int ->
   ?heartbeats:bool ->
-  ?heartbeat_period:int ->
   ?on_round:(int -> unit) ->
   ?trace:bool ->
   ?parallel:int ->
-  ?placement:(string * int) list ->
   ?batch:int ->
   ?supervise:Rts.Supervisor.policy ->
-  ?restart_budget:int ->
   ?shed:float ->
   ?latency_sample:int ->
   ?state_slack:float ->
@@ -224,18 +221,17 @@ val run :
   unit ->
   (Rts.Scheduler.stats, string) result
 (** Drive the network until every source is exhausted. [heartbeats]
-    enables on-demand punctuation; [heartbeat_period] adds periodic
-    source punctuation every N scheduler rounds; [on_round] is the live
+    (default true) enables on-demand punctuation; [on_round] is the live
     application's hook (change parameters, flush queries); [trace] times
     every scheduler step (instead of a 1-in-8 sample) so
     {!trace_report} gives exact per-operator costs.
 
     [parallel] (>= 1, default 1) > 1 runs the network on that many
     OCaml domains ({!Rts.Scheduler.run}'s [domains]) — HFTAs on worker
-    domains, sources and LFTAs on the caller; [placement] pins named
-    nodes to domains. Output is byte-identical to the one-domain run.
-    [on_round] forces one domain (the hook mutates live operator state,
-    which must not race worker domains).
+    domains, placed from the graph ({!Rts.Scheduler.partition}), sources
+    and LFTAs on the caller. Output is byte-identical to the one-domain
+    run. [on_round] forces one domain (the hook mutates live operator
+    state, which must not race worker domains).
 
     [batch] (>= 1, default 1) vectorizes the data plane: tuples move
     through channels, operators and the scheduler in runs of up to
@@ -247,11 +243,11 @@ val run :
     [Error] (naming the node); [Isolate] poisons only the crashing
     subtree ([Item.Error] downstream at once, then, once its inputs
     end, an [Item.Gap] counting what it discarded and [Item.Eof]);
-    [Restart] restarts stateless operators in place up to
-    [restart_budget] (default 3) times per node. [shed] (a fraction in
-    (0,1], default off) is a high-water mark: sources discard tuples
-    while a subscriber channel sits at or above it, counting them under
-    [rts.shed.<node>] and announcing them downstream as [Item.Gap].
+    [Restart] restarts stateless operators in place up to 3 times per
+    node. [shed] (a fraction in (0,1], default off) is a high-water
+    mark: sources discard tuples while a subscriber channel sits at or
+    above it, counting them under [rts.shed.<node>] and announcing them
+    downstream as [Item.Gap].
 
     [latency_sample] (>= 0, default 0 = off) arms end-to-end latency
     measurement: every N-th source tuple is stamped at ingest and
@@ -276,9 +272,6 @@ val flush : t -> string -> (unit, string) result
 (** Make the named query emit its open state now — how an analyst gets
     output from an aggregation without an ordered group key
     (Section 2.2). *)
-
-val stats_report : t -> string
-(** Per-node runtime statistics (tuples in/out, drops, buffered state). *)
 
 val trace_report : t -> string
 (** EXPLAIN-ANALYZE-style per-operator breakdown: tuples, drops, timed

@@ -546,7 +546,6 @@ let install mgr ~source_binder ?(params = []) ?(seed = 0x6516) ?chan_capacity
           Rts.Manager.add_query_node_sized mgr ~capacity ~name:phys.Split.pname
             ~kind:phys.Split.pkind ~schema:phys.Split.pschema ~inputs ~op
         in
-        Rts.Node.set_placement node phys.Split.pplace;
         Rts.Node.set_shard node (Option.map (fun s -> s.Split.sshard) phys.Split.pshard);
         register_op_metrics phys.Split.pname stat;
         go (phys.Split.pname :: acc_names) ((phys.Split.pname, stat) :: acc_stats) rest

@@ -2,10 +2,39 @@ type compiled = { plan : Plan.t; split : Split.t; helpers : compiled list }
 
 let ( let* ) = Result.bind
 
-let prop_int props key =
+(* The DEFINE properties the compiler reads, each with its one check:
+   the error names what the value must be. *)
+let properties =
+  [
+    ("query_name", fun v -> if v <> "" then Ok () else Error "must not be empty");
+    ( "lfta_bits",
+      let max = Gigascope_rts.Lfta_aggregate.max_table_bits in
+      fun v ->
+        match int_of_string_opt v with
+        | Some b when b >= 0 && b <= max -> Ok ()
+        | _ -> Error (Printf.sprintf "must be an integer in 0..%d" max) );
+    ( "join_output",
+      fun v -> if String.lowercase_ascii v = "ordered" then Ok () else Error "must be ordered" );
+  ]
+
+let check_props props =
   List.fold_left
     (fun acc (k, v) ->
-      if String.lowercase_ascii k = key then int_of_string_opt v else acc)
+      let* () = acc in
+      let named why = Printf.sprintf "DEFINE property %s %s: %s" k v why in
+      match List.assoc_opt (String.lowercase_ascii k) properties with
+      | Some check -> Result.map_error named (check v)
+      | None ->
+          Error
+            (named
+               ("unknown property (the compiler reads "
+               ^ String.concat ", " (List.map fst properties)
+               ^ ")")))
+    (Ok ()) props
+
+let prop props key =
+  List.fold_left
+    (fun acc (k, v) -> if String.lowercase_ascii k = key then Some v else acc)
     None props
 
 (* Hoist inline FROM subqueries into standalone named queries compiled
@@ -61,16 +90,16 @@ let hoist_subqueries ~parent_name def =
 let compile_def_flat catalog ~default_interface ~lfta_table_bits ~name def =
   let* plan = Analyze.analyze catalog ~default_interface ~name def in
   let bits =
-    Option.value (prop_int def.Ast.props "lfta_bits") ~default:lfta_table_bits
+    Option.fold ~none:lfta_table_bits ~some:int_of_string (prop def.Ast.props "lfta_bits")
   in
-  let placement = prop_int def.Ast.props "placement" in
-  let* split = Split.split catalog ~lfta_table_bits:bits ?placement plan in
+  let* split = Split.split catalog ~lfta_table_bits:bits plan in
   Catalog.add_stream catalog ~name:plan.Plan.name plan.Plan.out_schema;
   Ok { plan; split; helpers = [] }
 
 (* Compile one definition: hoisted subqueries (already fully flattened by
    the hoister) become helper units attached to the main one. *)
 let compile_def catalog ~default_interface ~lfta_table_bits ~name def =
+  let* () = check_props def.Ast.props in
   let parent_name = Option.value (Ast.query_name def) ~default:name in
   let subs, def = hoist_subqueries ~parent_name def in
   let* helpers =

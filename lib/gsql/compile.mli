@@ -21,8 +21,13 @@ val compile_program :
   string ->
   (compiled list, string) result
 (** Compile every query in the program, registering each output schema in
-    the catalog as it goes. A query's DEFINE section may set
-    [query_name] and [lfta_bits]. Unnamed queries get [q0], [q1], ... *)
+    the catalog as it goes. Unnamed queries get [q0], [q1], ... A
+    query's DEFINE section may set three properties: [query_name], a
+    non-empty name; [lfta_bits], the log2 size of its LFTA aggregation tables, an integer
+    in 0..24 (default [lfta_table_bits], 12); and [join_output], whose
+    one value [ordered] selects the buffered join release. Any other
+    property, or a value failing its check, is an [Error] naming the
+    property and its value. *)
 
 val compile_query :
   Catalog.t ->
@@ -31,7 +36,8 @@ val compile_query :
   ?name:string ->
   string ->
   (compiled, string) result
-(** Compile a single query (errors if the text holds more than one). *)
+(** Compile a single query (errors if the text holds more than one). Its
+    DEFINE properties are checked as in {!compile_program}. *)
 
 val explain : ?memory:bool -> compiled -> string
 (** Human-readable report: the logical plan, imputed ordering properties,

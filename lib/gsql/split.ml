@@ -24,7 +24,6 @@ type phys_node = {
   pschema : Schema.t;
   pnic : nic_hint option;
   ptable_bits : int;
-  pplace : int option;
   pshard : shard_tag option;
 }
 
@@ -205,7 +204,7 @@ let split_select catalog ~qname ~interface ~protocol ~schema ~pred ~items ~sampl
         pschema;
         pnic = Some (nic_hint_for catalog ~protocol ~schema ~pred:(Expr_ir.conjoin cheap) ~fields_needed);
         ptable_bits = 0;
-        pplace = None; pshard = None;
+        pshard = None;
       };
     ]
   else begin
@@ -235,7 +234,7 @@ let split_select catalog ~qname ~interface ~protocol ~schema ~pred ~items ~sampl
                ~fields_needed:
                  (List.sort_uniq compare (hfta_fields @ fields_of_pred (Expr_ir.conjoin cheap))));
         ptable_bits = 0;
-        pplace = None; pshard = None;
+        pshard = None;
       }
     in
     let mapping = mapping_of hfta_fields in
@@ -269,7 +268,7 @@ let split_select catalog ~qname ~interface ~protocol ~schema ~pred ~items ~sampl
         pschema = hschema;
         pnic = None;
         ptable_bits = 0;
-        pplace = None; pshard = None;
+        pshard = None;
       }
     in
     [lfta; hfta]
@@ -375,7 +374,7 @@ let split_agg catalog ~qname ~table_bits ~interface ~protocol ~schema (a : Plan.
                           match c.Plan.arg with Some e -> Expr_ir.fields_used e | None -> [])
                         a.Plan.aggs)));
         ptable_bits = table_bits;
-        pplace = None; pshard = None;
+        pshard = None;
       }
     in
     (* HFTA super-aggregation over the LFTA's output *)
@@ -463,7 +462,7 @@ let split_agg catalog ~qname ~table_bits ~interface ~protocol ~schema (a : Plan.
         pschema = out_schema;
         pnic = None;
         ptable_bits = 0;
-        pplace = None; pshard = None;
+        pshard = None;
       }
     in
     [lfta; hfta]
@@ -499,7 +498,7 @@ let split_agg catalog ~qname ~table_bits ~interface ~protocol ~schema (a : Plan.
             (nic_hint_for catalog ~protocol ~schema ~pred:(Expr_ir.conjoin cheap)
                ~fields_needed:(List.sort_uniq compare (needed @ fields_of_pred (Expr_ir.conjoin cheap))));
         ptable_bits = 0;
-        pplace = None; pshard = None;
+        pshard = None;
       }
     in
     let mapping = mapping_of needed in
@@ -524,7 +523,7 @@ let split_agg catalog ~qname ~table_bits ~interface ~protocol ~schema (a : Plan.
         pschema = out_schema;
         pnic = None;
         ptable_bits = 0;
-        pplace = None; pshard = None;
+        pshard = None;
       }
     in
     [lfta; hfta]
@@ -550,27 +549,11 @@ let protocol_feeder catalog ~name ~interface ~protocol ~schema ~fields ~pred =
         (nic_hint_for catalog ~protocol ~schema ~pred
            ~fields_needed:(List.sort_uniq compare (fields @ fields_of_pred pred)));
     ptable_bits = 0;
-    pplace = None; pshard = None;
+    pshard = None;
   }
 
-let split catalog ?(lfta_table_bits = 12) ?placement (plan : Plan.t) =
+let split catalog ?(lfta_table_bits = 12) (plan : Plan.t) =
   let qname = plan.Plan.name in
-  (* Placement from the DEFINE block lands on the query's HFTAs; LFTAs
-     always run on the packet-path domain, like the paper's RTS. *)
-  let placed t =
-    match placement with
-    | None -> t
-    | Some d ->
-        {
-          t with
-          phys =
-            List.map
-              (fun p -> if p.pkind = Rts.Node.Hfta then { p with pplace = Some d } else p)
-              t.phys;
-        }
-  in
-  Result.map placed
-  @@
   match plan.Plan.body with
   | Plan.Select { sel_input = Plan.From_protocol { interface; protocol; schema }; sel_pred; sel_items; sample }
     ->
@@ -593,7 +576,7 @@ let split catalog ?(lfta_table_bits = 12) ?placement (plan : Plan.t) =
                 pschema = plan.Plan.out_schema;
                 pnic = None;
                 ptable_bits = 0;
-        pplace = None; pshard = None;
+                pshard = None;
               };
             ];
         }
@@ -618,7 +601,7 @@ let split catalog ?(lfta_table_bits = 12) ?placement (plan : Plan.t) =
                 pschema = plan.Plan.out_schema;
                 pnic = None;
                 ptable_bits = 0;
-        pplace = None; pshard = None;
+                pshard = None;
               };
             ];
         }
@@ -689,7 +672,7 @@ let split catalog ?(lfta_table_bits = 12) ?placement (plan : Plan.t) =
           pschema = plan.Plan.out_schema;
           pnic = None;
           ptable_bits = 0;
-        pplace = None; pshard = None;
+          pshard = None;
         }
       in
       Ok { plan; phys = List.filter_map Fun.id [left_node; right_node] @ [hfta] }
@@ -720,7 +703,7 @@ let split catalog ?(lfta_table_bits = 12) ?placement (plan : Plan.t) =
           pschema = plan.Plan.out_schema;
           pnic = None;
           ptable_bits = 0;
-        pplace = None; pshard = None;
+          pshard = None;
         }
       in
       Ok { plan; phys = feeders @ [hfta] }
@@ -841,7 +824,7 @@ let shard_pure_select ~shards t (node : phys_node) ~sel_input ~sel_pred ~sel_ite
       pschema = rschema;
       pnic = None;
       ptable_bits = 0;
-      pplace = None; pshard = None;
+      pshard = None;
     }
   in
   let strip =
@@ -862,7 +845,7 @@ let shard_pure_select ~shards t (node : phys_node) ~sel_input ~sel_pred ~sel_ite
       pschema = node.pschema;
       pnic = None;
       ptable_bits = 0;
-      pplace = None; pshard = None;
+      pshard = None;
     }
   in
   ( { t with phys = replicas @ [ merge; strip ] },
@@ -917,7 +900,7 @@ let shard_sub_agg ~shards t (lfta : phys_node) (la : Plan.agg_body) (hfta : phys
           pschema = lfta.pschema;
           pnic = None;
           ptable_bits = 0;
-          pplace = None; pshard = None;
+          pshard = None;
         }
       in
       Ok
@@ -937,8 +920,6 @@ let fallback_reason t =
 
 let shard ~shards (t : t) =
   if shards < 2 then Error "shards < 2"
-  else if List.exists (fun p -> p.pplace <> None) t.phys then
-    Error "explicit placement pins the chain to fixed domains"
   else if
     List.exists
       (fun p ->

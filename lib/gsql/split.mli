@@ -52,10 +52,6 @@ type phys_node = {
   pnic : nic_hint option;  (** LFTAs over a protocol only *)
   ptable_bits : int;
       (** direct-mapped table size for an LFTA aggregation body *)
-  pplace : int option;
-      (** pinned execution domain for a multi-domain
-          {!Gigascope_rts.Scheduler.run}; HFTAs only (LFTAs stay on the
-          packet-path domain) *)
   pshard : shard_tag option;
       (** set by {!shard} on the replicas of a sharded chain *)
 }
@@ -65,11 +61,9 @@ type t = {
   phys : phys_node list;  (** topological order; the last node is the query *)
 }
 
-val split : Catalog.t -> ?lfta_table_bits:int -> ?placement:int -> Plan.t -> (t, string) result
+val split : Catalog.t -> ?lfta_table_bits:int -> Plan.t -> (t, string) result
 (** [lfta_table_bits] (default 12, i.e. 4096 slots) sizes LFTA aggregation
-    tables; the DEFINE property [lfta_bits] overrides it upstream.
-    [placement] pins the query's HFTAs to an execution domain (the DEFINE
-    property [placement] sets it upstream). *)
+    tables; the DEFINE property [lfta_bits] overrides it upstream. *)
 
 val lower_filter :
   bpf_of_field:(int -> Bpf.Filter.field option) -> Expr_ir.t -> Bpf.Filter.t option
@@ -97,9 +91,9 @@ val lower_filter :
       unchanged.
 
     Everything else (joins, merges, stream inputs, sampling, expensive
-    splits, epoch-less or banded-epoch aggregates, pinned placements)
-    returns [Error reason]; the engine reports the reason in the run
-    trace rather than silently degrading.
+    splits, epoch-less or banded-epoch aggregates) returns [Error
+    reason]; the engine reports the reason in the run trace rather than
+    silently degrading.
 
     Caveat: summing floating-point partials regroups additions, so [Sum]/
     [Avg] over a [Float] column is byte-identical only up to the last

@@ -40,8 +40,10 @@ type t = {
   mutable done_ : bool;
 }
 
+let max_table_bits = 24
+
 let make cfg =
-  if cfg.table_bits < 0 || cfg.table_bits > 24 then
+  if cfg.table_bits < 0 || cfg.table_bits > max_table_bits then
     invalid_arg "Lfta_aggregate.make: table_bits out of range";
   let n = Array.length cfg.keys in
   {

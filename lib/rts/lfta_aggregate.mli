@@ -49,6 +49,9 @@ type config = {
 
 type t
 
+val max_table_bits : int
+(** The largest [table_bits] {!make} accepts (24); the least is 0. *)
+
 val make : config -> t
 val op : t -> Operator.t
 

@@ -194,20 +194,6 @@ let kind_string node =
   | Node.Lfta -> "lfta"
   | Node.Hfta -> "hfta"
 
-let stats_report t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-24s %-8s %10s %10s %8s %9s\n" "node" "kind" "tuples-in" "tuples-out"
-       "drops" "buffered");
-  List.iter
-    (fun node ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-24s %-8s %10d %10d %8d %9d\n" (Node.name node) (kind_string node)
-           (Node.tuples_in node) (Node.tuples_out node) (Node.input_drops node)
-           (Node.buffered node)))
-    (nodes t);
-  Buffer.contents buf
-
 let trace_report t =
   let snap = Metrics.snapshot t.metrics in
   let factor =

@@ -36,10 +36,8 @@ val add_query_node :
   op:Operator.t ->
   (Node.t, string) result
 (** Registers the node and subscribes it to each named input, in order.
-    To pin the node to an execution domain for a multi-domain
-    {!Scheduler.run}, call {!Node.set_placement} on the result. Errors: duplicate name;
-    unknown input; an LFTA (or a source) added after {!start}; an LFTA
-    reading from anything but a source. *)
+    Errors: duplicate name; unknown input; an LFTA (or a source) added
+    after {!start}; an LFTA reading from anything but a source. *)
 
 val add_query_node_sized :
   t ->
@@ -92,16 +90,13 @@ val flush : t -> string -> (unit, string) result
 val total_drops : t -> int
 (** Tuples dropped across all registered nodes' input channels. *)
 
-val stats_report : t -> string
-(** A human-readable table: every node's kind, tuples in/out, input drops,
-    and buffered operator state. *)
-
 val trace_report : t -> string
-(** EXPLAIN-ANALYZE-style per-operator breakdown from the metrics
-    registry: tuples in/out, drops, timed scheduler steps, cumulative
+(** The per-node table, EXPLAIN-ANALYZE style: every node's name and
+    kind, tuples in/out, input drops, timed scheduler steps, cumulative
     service time and per-tuple cost. Most accurate after a
     {!Scheduler.run} with [~trace:true] (otherwise service times are
-    sampled and the totals are scaled estimates). *)
+    sampled and the totals are scaled estimates). A node's buffered
+    state is its [rts.node.<name>.buffered] gauge. *)
 
 val log_src : Logs.src
 (** The [logs] source ([gigascope.rts]) under which manager lifecycle

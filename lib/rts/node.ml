@@ -33,7 +33,6 @@ type t = {
   mutable cb_seen : int;
   mutable source_done : bool;
   mutable eof_emitted : bool;
-  mutable pinned : int option;
   (* Sharded execution: replicas of a query's LFTA→HFTA chain are
      tagged with their shard index so the parallel scheduler spreads
      them over worker domains even though their kind would otherwise
@@ -110,7 +109,6 @@ let make name kind schema behavior =
     cb_seen = 0;
     source_done = false;
     eof_emitted = false;
-    pinned = None;
     shard_id = None;
     batch_size = 1;
     out_buf = [||];
@@ -151,8 +149,6 @@ let latency_sample t = t.latency_sample
 let shed_count t = Metrics.Counter.get t.shed_c
 let kind t = t.kind
 let schema t = t.schema
-let placement t = t.pinned
-let set_placement t p = t.pinned <- p
 let shard t = t.shard_id
 let set_shard t s = t.shard_id <- s
 

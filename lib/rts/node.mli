@@ -36,19 +36,12 @@ val name : t -> string
 val kind : t -> kind
 val schema : t -> Schema.t
 
-val placement : t -> int option
-(** Pinned execution domain for the parallel scheduler; [None] lets the
-    scheduler place the node (sources and LFTAs on the packet-path
-    domain, HFTAs as pipeline stages over the workers — see
-    {!Scheduler.partition}). *)
-
-val set_placement : t -> int option -> unit
-
 val shard : t -> int option
 (** Shard index for a node that is one replica of a sharded query chain
-    ([None] for unsharded nodes). The parallel scheduler spreads tagged
-    replicas over worker domains — including LFTA-kind replicas, which
-    would otherwise stay on the packet-path domain. *)
+    ([None] for unsharded nodes). The parallel scheduler puts the
+    replica of shard [s] on worker [1 + s mod workers]
+    ({!Scheduler.partition}) — LFTA-kind replicas included, which would
+    otherwise stay on the packet-path domain. *)
 
 val set_shard : t -> int option -> unit
 

@@ -23,31 +23,29 @@ let request_heartbeat node =
 (* Partition the network over [domains] execution domains: sources and
    LFTAs stay on domain 0 (the paper's runtime process, which owns the
    packet path and the source clocks), HFTAs are spread over the
-   [domains - 1] worker domains. A node pinned via {!Node.set_placement}
-   (the [placement] DEFINE property or gsq's [--placement]) goes exactly
-   where it asks, including domain 0.
+   [domains - 1] worker domains.
 
    The spread must be acyclic at the {e domain} level: cross-domain
    channels block when full ({!Channel.set_blocking}), and a domain blocked
    mid-push cannot step its other nodes, so a ring of domains each
    pushing into the next's full input is a permanent deadlock no
    heartbeat can break (naive round-robin creates one as soon as a chain
-   of three HFTAs wraps back onto an earlier worker). Unpinned HFTAs are
+   of three HFTAs wraps back onto an earlier worker). HFTAs are
    therefore assigned as pipeline stages, in topological order: an HFTA
    fed only by domain 0 starts a pipeline on the next worker
    (round-robin for load spread); an HFTA downstream of other HFTAs
    lands one worker above its highest upstream, saturating at the last
+   worker. A shard replica reads only its source, so it may sit on any
    worker. Every cross edge then goes from domain 0 into a worker or
    from a lower- to a strictly higher-numbered worker — a DAG by
    construction, and in a domain-level DAG the topologically last
-   blocked domain always has a consumer that drains it. Pinning can
-   still express a cycle; that is detected and rejected here rather than
-   letting the run hang. *)
+   blocked domain always has a consumer that drains it. *)
 let partition ~domains nodes =
   if domains <= 1 then Ok [| nodes |]
   else
   let n_workers = domains - 1 in
   let dom = Hashtbl.create 32 in
+  let parts = Array.make domains [] in
   let next = ref 0 in
   List.iter
     (fun node ->
@@ -57,100 +55,33 @@ let partition ~domains nodes =
         (* A shard replica goes to the worker owning its shard index,
            even when its kind is Lfta: the whole point of sharding is
            taking the per-tuple work off the packet-path domain. Shard s
-           -> worker 1 + (s mod workers), so every replica of shard s
-           (its filter, sub-aggregate, and any helpers) shares one
-           domain and distinct shards land on distinct workers when
-           there are enough. Explicit placement still wins. *)
-        | (Node.Lfta | Node.Hfta), Some s when Node.placement node = None ->
-            1 + (s mod n_workers)
-        | Node.Lfta, _ -> 0
-        | Node.Hfta, _ -> (
-            match Node.placement node with
-            | Some d -> ((d mod domains) + domains) mod domains
-            | None ->
-                let upstream_floor =
-                  Array.fold_left
-                    (fun acc (up, _) ->
-                      match Hashtbl.find_opt dom (Node.name up) with
-                      | Some d -> max acc d
-                      | None -> acc)
-                    0 (Node.inputs node)
-                in
-                if upstream_floor = 0 then begin
-                  let p = 1 + (!next mod n_workers) in
-                  incr next;
-                  p
-                end
-                else min (upstream_floor + 1) n_workers)
+           -> worker 1 + (s mod workers), so distinct shards land on
+           distinct workers when there are enough. *)
+        | (Node.Lfta | Node.Hfta), Some s -> 1 + (s mod n_workers)
+        | Node.Lfta, None -> 0
+        | Node.Hfta, None ->
+            let upstream_floor =
+              Array.fold_left
+                (fun acc (up, _) ->
+                  match Hashtbl.find_opt dom (Node.name up) with
+                  | Some d -> max acc d
+                  | None -> acc)
+                0 (Node.inputs node)
+            in
+            if upstream_floor = 0 then begin
+              let p = 1 + (!next mod n_workers) in
+              incr next;
+              p
+            end
+            else min (upstream_floor + 1) n_workers
       in
-      Hashtbl.replace dom (Node.name node) d)
+      Hashtbl.replace dom (Node.name node) d;
+      parts.(d) <- node :: parts.(d))
     nodes;
-  (* Cycle check over the domain graph — only pinning can defeat the
-     pipeline rule, but a hang is bad enough to verify unconditionally. *)
-  let adj = Array.make domains [] in
-  List.iter
-    (fun node ->
-      let dn = Hashtbl.find dom (Node.name node) in
-      Array.iter
-        (fun ((up : Node.t), _) ->
-          let du = Hashtbl.find dom (Node.name up) in
-          if du <> dn && not (List.mem dn adj.(du)) then adj.(du) <- dn :: adj.(du))
-        (Node.inputs node))
-    nodes;
-  let color = Array.make domains 0 in
-  let cycle = ref None in
-  let rec dfs path d =
-    if Option.is_none !cycle then
-      match color.(d) with
-      | 1 ->
-          (* [path] is most-recent-first; the cycle runs d .. path-head d *)
-          let seg = ref [] in
-          (try
-             List.iter
-               (fun x ->
-                 seg := x :: !seg;
-                 if x = d then raise Exit)
-               path
-           with Exit -> ());
-          cycle := Some (!seg @ [ d ])
-      | 2 -> ()
-      | _ ->
-          color.(d) <- 1;
-          List.iter (dfs (d :: path)) adj.(d);
-          color.(d) <- 2
-  in
-  for d = 0 to domains - 1 do
-    dfs [] d
-  done;
-  match !cycle with
-  | Some ds ->
-      Error
-        (Printf.sprintf
-           "scheduler: placement creates a cross-domain channel cycle (domains %s); blocking \
-            cross-domain channels would deadlock — place each stage on a domain no lower than \
-            its upstream HFTAs"
-           (String.concat " -> " (List.map string_of_int ds)))
-  | None ->
-      let parts = Array.make domains [] in
-      List.iter
-        (fun node ->
-          let p = Hashtbl.find dom (Node.name node) in
-          parts.(p) <- node :: parts.(p))
-        nodes;
-      Ok (Array.map List.rev parts)
+  Ok (Array.map List.rev parts)
 
-let apply_placement mgr placement =
-  List.fold_left
-    (fun acc (name, d) ->
-      let* () = acc in
-      match Manager.find mgr name with
-      | Some node -> Ok (Node.set_placement node (Some d))
-      | None -> Error (Printf.sprintf "scheduler: --placement names unknown node %s" name))
-    (Ok ()) placement
-
-let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?heartbeat_period ?on_round
-    ?(trace = false) ?(domains = 1) ?(placement = []) ?(batch = 1) ?supervisor ?shed
-    ?(latency_sample = 0) ?(state_slack = 0.0) mgr =
+let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?on_round ?(trace = false)
+    ?(domains = 1) ?(batch = 1) ?supervisor ?shed ?(latency_sample = 0) ?(state_slack = 0.0) mgr =
   (* A quantum smaller than the batch flushes every output builder before
      it fills, so the *default* quantum floors at the batch — the knobs
      compose. An explicit quantum wins: callers pinning the scheduling
@@ -161,7 +92,6 @@ let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?heartbeat_peri
      the caller; racing them against worker domains is unsound, so a
      hook keeps the run on one domain. *)
   let domains = if on_round <> None then 1 else max 1 domains in
-  let* () = apply_placement mgr placement in
   let nodes = Manager.nodes mgr in
   let* parts = partition ~domains nodes in
   Manager.start mgr;
@@ -228,19 +158,18 @@ let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?heartbeat_peri
       (List.init (domains - 1) (fun i -> i + 1))
   in
   (* Domain 0 — the caller, and the only domain of a one-domain run —
-     owns the sources and LFTAs (plus pinned HFTAs). Besides stepping
-     them it fires heartbeats, both for its own blocked nodes and for
-     those the workers queue, since it owns the source clocks, and it
-     stays in the loop until every worker has exited, so the final
-     join never waits on a parked domain.
+     owns the sources and LFTAs. Besides stepping them it fires
+     heartbeats, both for its own blocked nodes and for those the
+     workers queue, since it owns the source clocks, and it stays in the
+     loop until every worker has exited, so the final join never waits
+     on a parked domain.
 
      [iter] counts scheduling iterations (max_rounds guard, sampling,
-     periodic heartbeats, the on_round hook); [rounds] counts only the
-     productive ones — iterations in which some node actually moved an
-     item. The two diverge when every node is blocked awaiting
-     heartbeats (punctuation-only iterations) and on the final wedged
-     iteration, so the [rts.scheduler.rounds] metric tracks observable
-     progress. *)
+     the on_round hook); [rounds] counts only the productive ones —
+     iterations in which some node actually moved an item. The two
+     diverge when every node is blocked awaiting heartbeats
+     (punctuation-only iterations) and on the final wedged iteration, so
+     the [rts.scheduler.rounds] metric tracks observable progress. *)
   let mine = parts.(0) in
   let downstream = List.filter (fun n -> Node.kind n <> Node.Source) mine in
   let iter = ref 0 in
@@ -280,16 +209,6 @@ let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?heartbeat_peri
           Metrics.Counter.incr hb_c;
           hb_fired := true
         in
-        (match heartbeat_period with
-        | Some period when period > 0 && !iter mod period = 0 ->
-            List.iter
-              (fun node ->
-                if Node.kind node = Node.Source && not (Node.exhausted node) then begin
-                  Node.heartbeat node;
-                  hb_fired := true
-                end)
-              mine
-        | _ -> ());
         if heartbeats then
           List.iter
             (fun node ->
@@ -311,9 +230,8 @@ let run ?quantum ?(max_rounds = 10_000_000) ?(heartbeats = true) ?heartbeat_peri
            queue a heartbeat request. But if the probe shows every domain
            parked with nothing pending anywhere (with no workers: at
            once), nobody will ever wake anybody — report the wedge.
-           Otherwise park until a worker pokes us (heartbeat queue, a push
-           into a pinned HFTA's input, its own park or exit, or an
-           abort). *)
+           Otherwise park until a worker pokes us (heartbeat queue, its
+           own park or exit, or an abort). *)
         if (not progress) && (not !hb_fired) && not (finished ()) then begin
           if Domain_runner.probe_wedged shared then
             result := Some (Error "scheduler: wedged (no progress, not finished)")

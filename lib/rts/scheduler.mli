@@ -27,11 +27,9 @@ val run :
   ?quantum:int ->
   ?max_rounds:int ->
   ?heartbeats:bool ->
-  ?heartbeat_period:int ->
   ?on_round:(int -> unit) ->
   ?trace:bool ->
   ?domains:int ->
-  ?placement:(string * int) list ->
   ?batch:int ->
   ?supervisor:Supervisor.t ->
   ?shed:float ->
@@ -42,17 +40,15 @@ val run :
 (** [domains] (default 1) is the paper's process-per-HFTA architecture
     (Section 2.2) mapped onto OCaml domains. Domain 0 (the caller) runs
     the sources and LFTAs — the packet path; each HFTA runs on one of
-    [domains - 1] worker domains as a pipeline stage (see {!partition}),
-    unless pinned by [placement] (node name → domain index; modulo
-    [domains]; an unknown name is an error) or a prior
-    {!Node.set_placement}. Edges crossing a domain boundary are switched
-    into blocking mode ({!Channel.set_blocking}): the inter-process
-    "shared memory" edges get backpressure instead of drops, and their
-    cells are also exported under [rts.xchannel.*]. A placement whose
-    domain graph is cyclic is rejected with an error: bounded blocking
-    channels would deadlock on such a cycle. Blocked HFTAs on worker
-    domains still get on-demand heartbeats: the request is queued to
-    domain 0, which owns the source clocks. The stats count domain 0's
+    [domains - 1] worker domains as a pipeline stage, placed from the
+    graph alone (see {!partition}). Edges crossing a domain boundary are
+    switched into blocking mode ({!Channel.set_blocking}): the
+    inter-process "shared memory" edges get backpressure instead of
+    drops, and their cells are also exported under [rts.xchannel.*].
+    Every such edge ascends, so the blocking channels cannot form a
+    deadlock ring. Blocked HFTAs on worker domains still get on-demand
+    heartbeats: the request is queued to domain 0, which owns the source
+    clocks. The stats count domain 0's
     productive rounds only; worker progress shows up in node and channel
     metrics. Output is deterministic: every operator's emitted tuple
     sequence depends only on its per-channel input tuple sequences, not
@@ -105,11 +101,8 @@ val run :
     [quantum] (default [max 64 batch]) items per node step (per source
     per round); [max_rounds] (default 10_000_000) bounds domain 0's
     scheduling iterations as a wedge guard; [heartbeats] (default true)
-    enables on-demand punctuation (requested by blocked operators);
-    [heartbeat_period] additionally fires every source's clock
-    punctuation every N iterations — the periodic injection of Tucker &
-    Maier that the paper contrasts with its on-demand scheme. Implies
-    {!Manager.start}.
+    enables on-demand punctuation (requested by blocked operators).
+    Implies {!Manager.start}.
 
     The run feeds the manager's metrics registry: [rts.scheduler.rounds]
     and [rts.scheduler.heartbeat_requests] counters, plus each node's
@@ -129,12 +122,13 @@ val request_heartbeat : Node.t -> unit
 
 val partition : domains:int -> Node.t list -> (Node.t list array, string) result
 (** Assign nodes to execution domains ([nodes] in registration order,
-    which is topological). Sources and LFTAs land on domain 0; unpinned
-    HFTAs become pipeline stages: a stage never lands on a lower-numbered
-    worker than its upstream HFTAs, so every cross-domain edge ascends
-    and the domain graph is acyclic — the property that keeps the
-    blocking cross-domain channels deadlock-free. Explicit placements
-    ({!Node.set_placement}) are honoured verbatim; if they make the
-    domain graph cyclic the partition is rejected ([Error] naming the
-    cycle). [domains <= 1] is one part holding every node in
-    registration order. Exposed for tests. *)
+    which is topological), from the graph alone. Sources and unsharded
+    LFTAs land on domain 0; the replica of shard [s] ({!Node.shard}) on
+    worker [1 + s mod (domains - 1)]; every other HFTA becomes a
+    pipeline stage, one worker above its highest upstream (saturating at
+    the last), or the next worker round-robin when fed only from domain
+    0. Every cross-domain edge therefore ascends and the domain graph is
+    acyclic — the property that keeps the blocking cross-domain channels
+    deadlock-free. [domains <= 1] is one part holding every node in
+    registration order. The result is always [Ok]: no assignment these
+    rules make can be cyclic. Exposed for tests. *)

@@ -30,9 +30,11 @@ let () =
 
 type verdict = Retry | Poison | Escalate
 
+(* Restarts allowed per node before its next crash poisons it. *)
+let restart_budget = 3
+
 type t = {
   policy : policy;
-  restart_budget : int;
   mu : Mutex.t;
   budgets : (string, int) Hashtbl.t;  (* node -> restarts consumed *)
   mutable poisoned_nodes : string list;
@@ -41,10 +43,9 @@ type t = {
   escalations : Metrics.Counter.t;
 }
 
-let create ?(policy = Fail_fast) ?(restart_budget = 3) () =
+let create ?(policy = Fail_fast) () =
   {
     policy;
-    restart_budget = max 0 restart_budget;
     mu = Mutex.create ();
     budgets = Hashtbl.create 8;
     poisoned_nodes = [];
@@ -81,7 +82,7 @@ let on_crash t ~node ~restartable exn =
         Poison
     | Restart ->
         let used = Option.value (Hashtbl.find_opt t.budgets node) ~default:0 in
-        if restartable && used < t.restart_budget then begin
+        if restartable && used < restart_budget then begin
           Hashtbl.replace t.budgets node (used + 1);
           Metrics.Counter.incr t.restarts;
           Retry

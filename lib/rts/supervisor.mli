@@ -14,9 +14,9 @@
       discarded as an [Item.Gap] before its [Item.Eof], so downstream
       operators terminate normally with explicitly partial results.
     - {b restart}: operators that declare a [reset] (stateless ones)
-      are restarted in place, up to [restart_budget] times per node;
-      an [Item.Gap] marks the items lost to the crash. Stateful or
-      over-budget nodes degrade to poisoning.
+      are restarted in place, up to 3 times per node; an [Item.Gap]
+      marks the items lost to the crash. Stateful or over-budget nodes
+      degrade to poisoning.
 
     All verdicts are observable: [rts.supervisor.restarts],
     [rts.supervisor.poisoned], [rts.supervisor.escalations]. *)
@@ -34,8 +34,8 @@ type verdict = Retry | Poison | Escalate
 
 type t
 
-val create : ?policy:policy -> ?restart_budget:int -> unit -> t
-(** [restart_budget] (default 3) caps restarts {e per node}. *)
+val create : ?policy:policy -> unit -> t
+(** [policy] defaults to [Fail_fast]. *)
 
 val policy : t -> policy
 

@@ -103,7 +103,7 @@ let test_windowed_join_finite () =
 (* ------------------------ shipped plans certify ------------------------- *)
 
 let test_shipped_queries_finite () =
-  let dir = Filename.concat ".." "queries" in
+  let dir = Workloads.queries_dir () in
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".gsql")

@@ -190,7 +190,7 @@ let test_isolate_poisons_only_the_subtree () =
 let test_restart_within_budget () =
   with_faults "crash=op:3" (fun () ->
       let mgr, get = pipeline ~restartable:true ~n:10 () in
-      let s = Supervisor.create ~policy:Supervisor.Restart ~restart_budget:3 () in
+      let s = Supervisor.create ~policy:Supervisor.Restart () in
       (match Rts.Scheduler.run ~supervisor:s mgr with
       | Ok _ -> ()
       | Error e -> Alcotest.fail ("restart run must converge: " ^ e));
@@ -205,7 +205,7 @@ let test_restart_budget_exhausts_to_poison () =
   (* probability 1: the operator crashes on every single step *)
   with_faults "seed=1,crash~op:1" (fun () ->
       let mgr, get = pipeline ~restartable:true ~n:10 () in
-      let s = Supervisor.create ~policy:Supervisor.Restart ~restart_budget:3 () in
+      let s = Supervisor.create ~policy:Supervisor.Restart () in
       (match Rts.Scheduler.run ~supervisor:s mgr with
       | Ok _ -> ()
       | Error e -> Alcotest.fail ("exhausted-budget run must converge: " ^ e));
@@ -218,7 +218,7 @@ let test_restart_budget_exhausts_to_poison () =
 let test_stateful_operator_never_restarts () =
   with_faults "crash=op:2" (fun () ->
       let mgr, get = pipeline ~restartable:false ~n:10 () in
-      let s = Supervisor.create ~policy:Supervisor.Restart ~restart_budget:3 () in
+      let s = Supervisor.create ~policy:Supervisor.Restart () in
       (match Rts.Scheduler.run ~supervisor:s mgr with
       | Ok _ -> ()
       | Error e -> Alcotest.fail ("run must converge: " ^ e));

@@ -1,6 +1,6 @@
 (* Tests for the core facade: the built-in Protocol library's
    interpretation functions, TCP session extraction, the defragmenting
-   interface, FROM-clause subqueries, and periodic heartbeats. *)
+   interface, FROM-clause subqueries, and the engine's settings. *)
 
 module E = Gigascope.Engine
 module Sessions = Gigascope.Sessions
@@ -403,36 +403,6 @@ let test_engine_duplicate_query_name () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "duplicate query name accepted"
 
-(* ------------------------- periodic heartbeats -------------------------- *)
-
-let test_periodic_heartbeats () =
-  let schema =
-    Rts.Schema.make
-      [{ Rts.Schema.name = "ts"; ty = Rts.Ty.Int; order = Rts.Order_prop.Monotone Rts.Order_prop.Asc }]
-  in
-  let mgr = Rts.Manager.create () in
-  let i = ref 0 in
-  ignore
-    (Result.get_ok
-       (Rts.Manager.add_source mgr ~name:"s" ~schema
-          {
-            Rts.Node.pull =
-              (fun () ->
-                if !i >= 1000 then None
-                else begin
-                  incr i;
-                  Some (Rts.Item.Tuple [| Value.Int !i |])
-                end);
-            clock = (fun () -> [(0, Value.Int !i)]);
-          }));
-  let puncts = ref 0 in
-  Result.get_ok
-    (Rts.Manager.on_item mgr "s" (function Rts.Item.Punct _ -> incr puncts | _ -> ()));
-  (match Rts.Scheduler.run ~quantum:16 ~heartbeat_period:2 mgr with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  check Alcotest.bool "periodic punctuation flowed" true (!puncts > 5)
-
 (* ------------------------ env knob fallback ----------------------------- *)
 
 (* GIGASCOPE_PARALLEL / GIGASCOPE_BATCH are the CI matrix's hooks; a
@@ -721,7 +691,6 @@ let () =
           Alcotest.test_case "unknown protocol" `Quick test_engine_unknown_protocol;
           Alcotest.test_case "duplicate query name" `Quick test_engine_duplicate_query_name;
         ] );
-      ("heartbeats", [Alcotest.test_case "periodic mode" `Quick test_periodic_heartbeats]);
       ( "env-knobs",
         [
           Alcotest.test_case "garbage GIGASCOPE_PARALLEL warns" `Quick

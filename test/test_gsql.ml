@@ -547,6 +547,42 @@ let test_split_lfta_bits_property () =
   let lfta = List.hd c.Gsql.Compile.split.Split.phys in
   check Alcotest.int "lfta_bits honoured" 6 lfta.Split.ptable_bits
 
+(* Every DEFINE property is checked before analysis: an unknown key, or
+   a value failing its check, is an Error naming both, from the compiler
+   and from the engine's install alike. *)
+let test_define_properties_checked () =
+  let query props =
+    Printf.sprintf
+      {| DEFINE { query_name p; %s }
+         SELECT tb, count(*) as c FROM eth0.tcp GROUP BY time/1 as tb |}
+      props
+  in
+  List.iter
+    (fun (props, key, value) ->
+      let e = compile_err (query props) in
+      check Alcotest.bool (Printf.sprintf "%S names %s %s: %s" props key value e) true
+        (contains e key && contains e value);
+      let engine = Gigascope.Engine.create () in
+      Gigascope.Engine.add_packet_list_interface engine ~name:"eth0" [];
+      match Gigascope.Engine.install_program engine (query props) with
+      | Ok _ -> Alcotest.failf "%S installed" props
+      | Error e' -> check Alcotest.string (Printf.sprintf "%S: install agrees" props) e e')
+    [
+      ("lfta_bits 99;", "lfta_bits", "99");
+      ("lfta_bits abc;", "lfta_bits", "abc");
+      ("lfta_btis 2;", "lfta_btis", "2");
+      ("frobnicate 1;", "frobnicate", "1");
+      ("placement 2;", "placement", "2");
+      ("join_output fast;", "join_output", "fast");
+      ("query_name '';", "query_name", "must not be empty");
+    ];
+  List.iter
+    (fun (props, bits) ->
+      let c = compile_ok (query props) in
+      check Alcotest.int (props ^ " compiles") bits
+        (List.hd c.Gsql.Compile.split.Split.phys).Split.ptable_bits)
+    [("lfta_bits 0;", 0); ("lfta_bits 24;", 24); ("join_output ordered;", 12)]
+
 let test_split_join_feeders () =
   let catalog = fresh_catalog () in
   let program =
@@ -1118,6 +1154,7 @@ let () =
           Alcotest.test_case "NIC hints" `Quick test_split_nic_hints;
           Alcotest.test_case "payload snap" `Quick test_split_nic_payload_snap;
           Alcotest.test_case "lfta_bits property" `Quick test_split_lfta_bits_property;
+          Alcotest.test_case "DEFINE properties checked" `Quick test_define_properties_checked;
           Alcotest.test_case "join feeders" `Quick test_split_join_feeders;
           Alcotest.test_case "filter weakening" `Quick test_lower_filter_weakening;
         ] );

@@ -1020,13 +1020,13 @@ let test_lfta_eviction_pinned () =
       (12, [ ("e2_subnets", 1952, 3452); ("e2_flows", 2132, 3700) ]);
     ]
 
-let test_stats_report () =
+let test_per_node_report () =
   let engine = E.create () in
   E.add_packet_list_interface engine ~name:"eth0"
     [tcp_pkt 1.0 "10.0.0.1" "10.0.0.2" 1 80 ""];
   ignore (install engine {| DEFINE { query_name sr; } SELECT time FROM eth0.tcp |});
   ignore (run engine);
-  let report = E.stats_report engine in
+  let report = E.trace_report engine in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -1095,7 +1095,7 @@ let () =
           Alcotest.test_case "round drains downstream" `Quick test_round_drains_downstream;
           Alcotest.test_case "epoch closes on LFTA bound" `Quick test_epoch_closes_on_lfta_bound;
           Alcotest.test_case "LFTA evictions pinned" `Quick test_lfta_eviction_pinned;
-          Alcotest.test_case "stats report" `Quick test_stats_report;
+          Alcotest.test_case "stats report" `Quick test_per_node_report;
           Alcotest.test_case "three-way merge" `Quick test_three_way_merge;
           Alcotest.test_case "merge over protocols" `Quick test_merge_directly_over_protocols;
           Alcotest.test_case "join over protocols" `Quick test_join_directly_over_protocols;

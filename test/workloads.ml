@@ -11,9 +11,15 @@ module Traffic = Gigascope_traffic
 module Packet = Gigascope_packet.Packet
 module Ipaddr = Gigascope_packet.Ipaddr
 
+(* The shipped queries directory: [queries] from the repository root,
+   [../queries] from [dune runtest]'s working directory. *)
+let queries_dir () =
+  match List.find_opt Sys.file_exists ["queries"; Filename.concat ".." "queries"] with
+  | Some dir -> dir
+  | None -> failwith "queries/ not found in the working directory or its parent"
+
 let read_query name =
-  let path = Filename.concat ".." (Filename.concat "queries" (name ^ ".gsql")) in
-  let ic = open_in path in
+  let ic = open_in (Filename.concat (queries_dir ()) (name ^ ".gsql")) in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
@@ -147,8 +153,7 @@ let workloads =
 
 (* ------------------------------ execution ------------------------------- *)
 
-let exec w ~seed ~parallel ?quantum ?(heartbeats = true) ?heartbeat_period
-    ?placement ?batch ?shards () =
+let exec w ~seed ~parallel ?quantum ?(heartbeats = true) ?batch ?shards () =
   (* [quantum] is deliberately a pass-through: left unset, the scheduler
      floors its default quantum at the batch size, so the large-batch
      fuzz cases really move large batches. [shards] too: left unset,
@@ -159,9 +164,7 @@ let exec w ~seed ~parallel ?quantum ?(heartbeats = true) ?heartbeat_period
   | Ok _ -> ()
   | Error e -> Alcotest.fail (Printf.sprintf "%s: install: %s" w.wname e));
   let collectors = List.map (fun n -> (n, collect engine n)) w.outputs in
-  (match
-     E.run engine ?quantum ~heartbeats ?heartbeat_period ~parallel ?placement ?batch ()
-   with
+  (match E.run engine ?quantum ~heartbeats ~parallel ?batch () with
   | Ok _ -> ()
   | Error e -> Alcotest.fail (Printf.sprintf "%s: run: %s" w.wname e));
   (List.map (fun (n, get) -> (n, get ())) collectors, E.total_drops engine)
